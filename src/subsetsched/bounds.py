@@ -1,33 +1,46 @@
-"""Overflow-exponent bounds by numerical optimization.
+"""Overflow-exponent bounds: an exact dual for J*, optimization for the rest.
 
 Lower-bound side: for a user set S and twisted mean rates phi, the unique
 sampling frequencies c equalizing all queue drifts to a common w > 0 give
 a cost-per-unit-drift f_S(phi) = sum_i c_i L*_i(phi_i) / w; the singleton
 exponent J* is the minimum of f_S over user sets and feasible twists.
+With T = 1/w and x_i = c_i T, f_S is a sum of perspectives of the L*_i,
+jointly convex (Boyd and Vandenberghe, Convex Optimization, 3.2.6), and
+its Lagrange dual over twists phi_i <= mean_i is
+sup { sum_i theta_i : theta >= 0, L_i(-theta_i) + sum_j lambda_j theta_j <= 0 }.
+At a fixed level u = sum_j lambda_j theta_j each theta_i is at least
+theta_i(u), the root of L_i(-theta) = -u, and the surplus is worth most on
+the member with the smallest arrival rate, so
+J_S = max_u u / lambda_min + sum_i theta_i(u) (1 - lambda_i / lambda_min)
+over the interval of u >= 0 with sum_i lambda_i theta_i(u) <= u: a
+concave one-dimensional problem (each theta_i(u) is convex), solved
+exactly, whose maximizer gives back the primal twist phi_i = L_i'(-theta_i).
 
 Upper-bound side: for any twisted means phi with the arrival vector
 outside their scaled-simplex hull, every sampling-frequency vector c on
 the simplex certifies sum_i c_i L*_i(phi_i) / max_i (lambda_i - c_i
 phi_i) as an overflow-cost bound; the sup over c is computed exactly by
 enumerating drift-equalizing support sets plus the breakpoints where the
-active set changes, and the best (smallest) bound is minimized over phi.
+active set changes, and the best (smallest) bound is minimized over phi by
+a grid and multistart Nelder-Mead, independently of the dual.
 A subset-structured variant replaces Cramér costs by relative-entropy
 costs of sub-state distributions and per-user rates by the winner-map
 vertices of each subset's service region.
 
-For matched singleton systems the two optimizations agree; the report
-carries both values, the minimizing twists, and the grid resolutions.
+For matched singleton systems the two sides agree; the report carries
+both values, the minimizing twists, the dual gap and the grid resolutions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, minimize, minimize_scalar
+from scipy.optimize import brentq, linprog, minimize
 
 from .channels import JointChannelDistribution, SubsetSystem
 from .ratefn import (
@@ -40,9 +53,12 @@ from .ratefn import (
 
 _TINY = 1e-15
 _FEAS_TOL = 1e-12
-# finite infeasibility penalty: keeps Nelder-Mead and golden-section arithmetic
-# clean where an infinite value would poison them
+# finite infeasibility penalty: keeps Nelder-Mead and Brent arithmetic clean
+# where an infinite value would poison them
 _PENALTY = 1e18
+# rows of upper_bound_min's twist grid per numpy pass; larger blocks are no
+# faster and raise peak memory (32768 rows: +6 MB on a 101 x 101 grid)
+_GRID_BLOCK = 2048
 
 
 class UnstableArrivalsError(ValueError):
@@ -73,7 +89,9 @@ def drift_solve(
     """Closed-form drift-equalizing frequencies; None when infeasible.
 
     From sum_j (lambda_j - w) / phi_j = 1:
-    w = (sum_j lambda_j/phi_j - 1) / (sum_j 1/phi_j), c_j = (lambda_j - w)/phi_j.
+    w = (sum_j lambda_j/phi_j - 1) / (sum_j 1/phi_j), c_i = (lambda_i - w)/phi_i.
+    c_i is evaluated as (1 + sum_j (lambda_i - lambda_j)/phi_j) / (phi_i sum_j
+    1/phi_j), free of the cancellation in lambda_i - w at a tiny phi_i.
     Infeasible when any phi_j <= 0, w <= 0, or some c_j < 0.
     """
     members = tuple(int(i) for i in subset)
@@ -84,10 +102,12 @@ def drift_solve(
     if any(p <= _TINY for p in ph):
         return None
     inv = [1.0 / p for p in ph]
-    w = (sum(l * v for l, v in zip(lm, inv)) - 1.0) / sum(inv)
+    total_inv = sum(inv)
+    w = (sum(l * v for l, v in zip(lm, inv)) - 1.0) / total_inv
     if w <= _TINY:
         return None
-    c = [(l - w) * v for l, v in zip(lm, inv)]
+    c = [(1.0 + sum((li - lj) * vj for lj, vj in zip(lm, inv))) * vi / total_inv
+         for li, vi in zip(lm, inv)]
     if any(ci < -_FEAS_TOL for ci in c):
         return None
     return DriftSolution(
@@ -122,11 +142,16 @@ def cost_per_drift(
 
 
 # ---------------------------------------------------------------------------
-# fast interpolated rate-function tables (optimizer internals only; every
-# reported value is re-evaluated with the exact bisection-based dual)
+# fast interpolated rate-function tables
 
 
 class _CramerTable:
+    """L* by interpolation, for upper_bound_min's grid and Nelder-Mead only.
+
+    Its search evaluates the cost of ~1e4 twists, too many for the exact
+    bisection-based dual; the winner is re-evaluated exactly.
+    """
+
     def __init__(self, rf: ScalarRateFunction):
         self.rf = rf
         if rf.degenerate:
@@ -151,11 +176,9 @@ class _CramerTable:
         self.xs = np.concatenate([[rf.r_min], xs, [rf.r_max]])
         self.vals = np.concatenate([[rf.rate(rf.r_min)], vals, [rf.rate(rf.r_max)]])
 
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        arr = np.asarray(x, dtype=float)
-        out = np.interp(arr, self.xs, self.vals)
-        out = np.where((arr < self.rf.r_min - 1e-12) | (arr > self.rf.r_max + 1e-12), np.inf, out)
-        return float(out) if np.ndim(x) == 0 else out
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = np.interp(x, self.xs, self.vals)
+        return np.where((x < self.rf.r_min - 1e-12) | (x > self.rf.r_max + 1e-12), np.inf, out)
 
 
 def _as_rate_functions(
@@ -182,127 +205,104 @@ def _check_singleton_stable(lams: Sequence[float], rfs: Sequence[ScalarRateFunct
 
 
 # ---------------------------------------------------------------------------
-# J* for singleton observable subsets
+# J* for singleton observable subsets, exact by the one-dimensional dual
 
 
 @dataclass(frozen=True)
 class JstarResult:
+    """J* = f_S(phi) of the winning set ``subset`` at its recovered twist.
+
+    ``dual_gap`` is that primal value minus the set's dual value: >= 0 up
+    to the rounding of f_S (|gap| ~ 1e-15 J*, more where a twist is floored
+    at an r_min = 0 edge).  ``per_subset`` holds every set's primal value.
+    """
+
     value: float
     subset: tuple[int, ...]
     phi: tuple[float, ...]
     per_subset: dict[tuple[int, ...], float]
-    resolution: float
+    dual_gap: float
 
 
-def _minimize_f_on_subset(
-    members: tuple[int, ...],
-    lams: np.ndarray,
-    tables: Sequence[_CramerTable],
-    rfs: Sequence[ScalarRateFunction],
-    grid_res: float,
-    multistarts: int,
-    rng: np.random.Generator,
-    extra_starts: Sequence[Sequence[float]] = (),
+# twist floor at an r_min = 0 edge: above drift_solve's positivity floor and
+# inside ScalarRateFunction.rate's endpoint snap, so it costs -log P(R = 0)
+_PHI_FLOOR = 1e-13
+
+
+def _dual_theta(rf: ScalarRateFunction, u: float) -> float:
+    """theta(u): the smallest theta >= 0 with L(-theta) <= -u.
+
+    ``inf`` once u reaches -log P(R = 0), the floor of L(-theta) when rate 0
+    is in the support.  Newton from 0 on the convex, decreasing L(-theta) + u
+    climbs to the root without passing it.
+    """
+    if u <= 0.0:
+        return 0.0
+    if rf.r_min == 0.0 and u >= -math.log(rf.probs[0]):
+        return math.inf
+    theta = 0.0
+    for _ in range(500):
+        excess = rf.log_mgf(-theta) + u
+        if excess <= 0.0:
+            break
+        step = excess / rf.log_mgf_deriv(-theta)
+        theta += step
+        if step <= 4e-16 * theta:
+            break
+    return theta
+
+
+def _jstar_on_set(
+    lam: Sequence[float], rfs: Sequence[ScalarRateFunction]
 ) -> tuple[float, tuple[float, ...]]:
-    d = len(members)
-    lam_s = np.array([lams[i] for i in members])
-    lo = np.array([rfs[i].r_min for i in members])
-    hi = np.array([rfs[i].mean for i in members])
+    """Dual value J_S and the primal twist it recovers, for one user set.
 
-    def f_vec(mesh_cols: list[np.ndarray], lstar_cols: list[np.ndarray]) -> np.ndarray:
-        phi = np.stack(mesh_cols, axis=-1).reshape(-1, d)
-        lst = np.stack(lstar_cols, axis=-1).reshape(-1, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(phi > _TINY, 1.0 / np.maximum(phi, _TINY), np.inf)
-            w = ((lam_s * inv).sum(axis=1) - 1.0) / inv.sum(axis=1)
-            c = (lam_s - w[:, None]) * inv
-            feas = (
-                (phi > _TINY).all(axis=1)
-                & (w > _TINY)
-                & (c >= -_FEAS_TOL).all(axis=1)
-                & np.isfinite(lst).all(axis=1)
-            )
-            val = np.where(feas, (np.maximum(c, 0.0) * lst).sum(axis=1) / np.where(w > 0, w, 1.0), np.inf)
-        return val
+    ``(inf, ())`` when no twist makes every member's queue grow: a member
+    without arrivals, or worst-case rates that still serve the whole set.
+    """
+    if min(lam) <= 0.0:
+        return math.inf, ()
+    if all(rf.r_min > 0.0 for rf in rfs) and sum(l / rf.r_min for l, rf in zip(lam, rfs)) <= 1.0:
+        return math.inf, ()
+    lam_min = min(lam)
+    low = lam.index(lam_min)
 
-    def f_scalar(phi: np.ndarray) -> float:
-        if np.any(phi < lo - 1e-12) or np.any(phi > hi + 1e-12):
-            return _PENALTY
-        sol = drift_solve(members, phi, lams)
-        if sol is None:
-            return _PENALTY
-        total = 0.0
-        for pos in range(d):
-            cost = tables[members[pos]](sol.phi[pos])
-            if not math.isfinite(cost):
-                return _PENALTY
-            total += sol.c[pos] * cost
-        return total / sol.w
+    def thetas(u: float) -> list[float]:
+        return [_dual_theta(rf, u) for rf in rfs]
 
-    best_val = math.inf
-    best_phi = tuple(hi)
+    def slack(u: float) -> float:
+        total = sum(l * t for l, t in zip(lam, thetas(u)))
+        return total - u if math.isfinite(total) else _PENALTY
 
-    # dense grid cross-check (exact rate-function values on the grid axes)
-    if d <= 3:
-        axes = []
-        lstar_axes = []
-        for pos, user in enumerate(members):
-            if hi[pos] - lo[pos] < 1e-12:
-                ax = np.array([hi[pos]])
-            else:
-                ax = np.arange(lo[pos], hi[pos] + grid_res / 2, grid_res)
-                if ax[-1] < hi[pos] - 1e-12:
-                    ax = np.append(ax, hi[pos])
-            axes.append(ax)
-            lstar_axes.append(np.array([rfs[user].rate(x) for x in ax]))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        lmesh = np.meshgrid(*lstar_axes, indexing="ij")
-        vals = f_vec(list(mesh), list(lmesh))
-        idx = int(np.argmin(vals))
-        if vals[idx] < best_val:
-            best_val = float(vals[idx])
-            best_phi = tuple(float(m.reshape(-1)[idx]) for m in mesh)
+    def d_objective(u: float) -> float:
+        # d/du of the concave objective; theta_i'(u) = 1 / phi_i(u)
+        out = 1.0 / lam_min
+        for l, rf, t in zip(lam, rfs, thetas(u)):
+            if l > lam_min:
+                phi = rf.log_mgf_deriv(-t) if math.isfinite(t) else 0.0
+                out -= (l / lam_min - 1.0) / phi if phi > 0.0 else _PENALTY
+        return out
 
-    # multistart projected coordinate descent on the box, interpolated costs
-    starts = [np.array(best_phi)] if math.isfinite(best_val) else []
-    starts.extend(np.asarray([s[i] for i in members], dtype=float) for s in extra_starts)
-    for _ in range(multistarts):
-        starts.append(lo + rng.random(d) * (hi - lo))
-    for start in starts:
-        phi = np.clip(start, lo, hi).astype(float)
-        val = f_scalar(phi)
-        for _ in range(30):
-            improved = False
-            for pos in range(d):
-                if hi[pos] - lo[pos] < 1e-12:
-                    continue
-
-                def f1(x: float, pos: int = pos) -> float:
-                    trial = phi.copy()
-                    trial[pos] = x
-                    return f_scalar(trial)
-
-                res = minimize_scalar(
-                    f1, bounds=(float(lo[pos]), float(hi[pos])), method="bounded",
-                    options={"xatol": 1e-10},
-                )
-                if res.fun < min(val - 1e-12, _PENALTY / 2):
-                    val = float(res.fun)
-                    phi[pos] = float(res.x)
-                    improved = True
-            if not improved:
-                break
-        if val < best_val and val < _PENALTY / 2:
-            best_val = val
-            best_phi = tuple(float(x) for x in phi)
-
-    # exact re-evaluation of the winner
-    sol = drift_solve(members, best_phi, lams)
-    if sol is not None:
-        exact = cost_per_drift(members, best_phi, lams, rfs)
-        if math.isfinite(exact):
-            best_val = exact
-    return best_val, best_phi
+    # slack is convex, 0 at u = 0 and falling there (the set is stable), and
+    # positive past u_max: the -log P(R = 0) caps, or a doubled guess
+    hi = min((-math.log(rf.probs[0]) for rf in rfs if rf.r_min == 0.0), default=1.0)
+    while slack(hi) <= 0.0:
+        hi *= 2.0
+    lo = hi
+    while slack(lo) >= 0.0:
+        lo /= 2.0
+    u_max = brentq(slack, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    step = 1e-15 * u_max
+    while slack(u_max) > 0.0:  # land on the feasible side of the root
+        u_max, step = max(lo, u_max - step), 2.0 * step
+    if d_objective(u_max) >= 0.0:
+        u = u_max
+    else:
+        u = brentq(d_objective, 0.0, u_max, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    theta = thetas(u)
+    theta[low] += max(0.0, u - sum(l * t for l, t in zip(lam, theta))) / lam_min
+    phi = tuple(max(_PHI_FLOOR, rf.log_mgf_deriv(-t)) for rf, t in zip(rfs, theta))
+    return sum(theta), phi
 
 
 def jstar_singleton(
@@ -312,43 +312,40 @@ def jstar_singleton(
     multistarts: int = 64,
     seed: int = 0,
     max_users: int = 12,
-    extra_starts: Sequence[Sequence[float]] = (),
 ) -> JstarResult:
     """Exponent lower bound min_S inf_phi f_S(phi) for per-user sampling.
 
-    Enumerates every nonempty user set; per set, a dense grid at
-    ``grid_res`` (sets of size <= 3) cross-checks multistart projected
-    coordinate descent over the box [r_min_i, mean_i].  Requires a
-    strictly stable arrival vector.
+    Enumerates every nonempty user set and solves each exactly by the
+    one-dimensional dual (module docstring): scipy's Brent root finder for
+    u_max and for the stationary level, Newton for each theta_i(u).  The
+    reported value is the primal ``cost_per_drift`` at the recovered twist.
+    ``grid_res``, ``multistarts`` and ``seed`` are accepted and ignored: the
+    dual leaves nothing to grid or restart, and callers share the settings
+    with ``upper_bound_min``.  Requires a strictly stable arrival vector.
     """
     rfs = _as_rate_functions(marginals)
-    lam = np.asarray([float(v) for v in lams])
+    lam = [float(v) for v in lams]
     n = len(rfs)
     if len(lam) != n:
         raise ValueError("arrival vector and marginals length mismatch")
     if n > max_users:
         raise ValueError(f"{n} users exceeds the subset-enumeration cap {max_users}")
     _check_singleton_stable(lam, rfs)
-    tables = [_CramerTable(rf) for rf in rfs]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x5EED])))
-    best: tuple[float, tuple[int, ...], tuple[float, ...]] | None = None
+    best: tuple[float, tuple[int, ...], tuple[float, ...], float] | None = None
     per_subset: dict[tuple[int, ...], float] = {}
     for size in range(1, n + 1):
         for members in itertools.combinations(range(n), size):
-            val, phi = _minimize_f_on_subset(
-                members, lam, tables, rfs, grid_res, multistarts, rng,
-                extra_starts=extra_starts,
-            )
+            dual, phi = _jstar_on_set([lam[i] for i in members], [rfs[i] for i in members])
+            if math.isinf(dual):
+                val, phi = math.inf, tuple(rfs[i].mean for i in members)
+            else:
+                val = cost_per_drift(members, phi, lam, rfs)
             per_subset[members] = val
             if best is None or val < best[0] - 1e-15:
-                best = (val, members, phi)
+                best = (val, members, phi, val - dual if math.isfinite(val) else 0.0)
     assert best is not None
     return JstarResult(
-        value=best[0],
-        subset=best[1],
-        phi=best[2],
-        per_subset=per_subset,
-        resolution=grid_res,
+        value=best[0], subset=best[1], phi=best[2], per_subset=per_subset, dual_gap=best[3]
     )
 
 
@@ -356,20 +353,26 @@ def jstar_singleton(
 # universal upper bound, per-user twists
 
 
-def _hull_contains(lams: np.ndarray, phis: np.ndarray) -> bool:
+def _hull_contains(lams: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Membership of the arrival vector in the scaled-simplex hull.
 
     The hull spanned by the origin and the per-user points phi_i e_i is
     {x >= 0 : sum_i x_i / phi_i <= 1}; coordinates with phi_i = 0 must be 0.
+    ``phis`` is one twist (n,) or a batch (m, n) of them.
     """
-    total = 0.0
-    for lam, phi in zip(lams, phis):
-        if lam <= _TINY:
-            continue
-        if phi <= _TINY:
-            return False
-        total += lam / phi
-    return total <= 1.0 + 1e-12
+    active = lams > _TINY
+    starved = (active & (phis <= _TINY)).any(axis=-1)
+    load = np.where(active, lams / np.where(phis > _TINY, phis, np.inf), 0.0).sum(axis=-1)
+    return ~starved & (load <= 1.0 + 1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _user_sets(n: int) -> np.ndarray:
+    """Membership masks of the nonempty subsets of n users, by size (read-only)."""
+    sets = [m for k in range(1, n + 1) for m in itertools.combinations(range(n), k)]
+    out = np.array([[i in m for i in range(n)] for m in sets], dtype=bool)
+    out.flags.writeable = False
+    return out
 
 
 def _inner_sup_users(
@@ -377,78 +380,76 @@ def _inner_sup_users(
     phi: np.ndarray,
     lstar: np.ndarray,
     with_subset_candidates: bool = True,
-) -> float:
+) -> np.ndarray:
     """sup over the c-simplex of sum c_i lstar_i / max_i (lambda_i - c_i phi_i).
 
-    Assumes the hull check already excluded the arrival vector, so every
-    c has a strictly positive denominator.  The sup equals the best of a
-    finite candidate family: for each denominator target w (the
-    drift-equalizing root plus each arrival rate acting as an active-set
-    breakpoint), allocate the minimum frequencies keeping all drifts <= w
-    and give the leftover mass to the costliest user; every candidate is
-    evaluated honestly, so the result is a certified lower estimate that
-    the piecewise-linear-fractional structure makes exact.
+    Row-wise over an (m, n) batch of twists ``phi`` and their finite costs
+    ``lstar``, in one set of (m, candidates, n) array passes.  Assumes the
+    hull check already excluded the arrival vector, so every c has a
+    strictly positive denominator.  The sup equals the best of a finite
+    candidate family: for each denominator target w (the drift-equalizing
+    root plus each arrival rate acting as an active-set breakpoint),
+    allocate the minimum frequencies keeping all drifts <= w and give the
+    leftover mass to the costliest user; with ``with_subset_candidates``
+    (n <= 12), also the drift-equalizing frequencies of every user set.
+    Every candidate is evaluated honestly, so the result is a certified
+    lower estimate that the piecewise-linear-fractional structure makes
+    exact.  Reductions call the ufuncs directly, which matters at m = 1.
     """
-    n = len(lam)
-    pos_idx = [i for i in range(n) if phi[i] > _TINY]
-    zero_idx = [i for i in range(n) if phi[i] <= _TINY]
-    w_floor = max((lam[i] for i in zero_idx if lam[i] > _TINY), default=0.0)
-    lam_max = float(np.max(lam)) if n else 0.0
-    if lam_max <= _TINY:
-        return 0.0
+    m, n = phi.shape
+    if n == 0 or lam.max() <= _TINY:
+        return np.zeros(m)
+    rows = np.arange(m)
+    pos = phi > _TINY
+    inv = 1.0 / np.where(pos, phi, np.inf)
+    w_floor = np.maximum.reduce((lam > _TINY) * ~pos * lam, axis=1)  # starved users
 
     # exact root of sum_i max(0, (lam_i - w)/phi_i) = 1: on the piece where the
-    # active set is fixed the equation is the drift-equalizing formula
-    root = None
-    order = sorted((i for i in pos_idx if lam[i] > _TINY), key=lambda i: -lam[i])
-    sum_lam_over_phi = 0.0
-    sum_inv_phi = 0.0
-    for pos, i in enumerate(order):
-        sum_lam_over_phi += lam[i] / phi[i]
-        sum_inv_phi += 1.0 / phi[i]
-        w = (sum_lam_over_phi - 1.0) / sum_inv_phi
-        nxt = lam[order[pos + 1]] if pos + 1 < len(order) else -math.inf
-        if w > _TINY and w <= lam[i] + 1e-12 and w >= nxt - 1e-12:
-            root = w
-            break
-    w_lo = max(w_floor, root if root is not None else 0.0)
-    if w_lo <= _TINY:
-        w_lo = 1e-14
+    # active set is fixed the equation is the drift-equalizing formula; walk
+    # the users by decreasing arrival rate, skipping each row's zero twists
+    order = np.argsort(-lam, kind="stable")
+    order = order[lam[order] > _TINY]
+    lam_o = lam[order]
+    inv_o = inv[:, order]
+    on = pos[:, order]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (np.cumsum(lam_o * inv_o, axis=1) - 1.0) / np.cumsum(inv_o, axis=1)
+    # arrival rate of each row's next walked user (-inf past the last)
+    later = np.maximum.accumulate(np.where(on, lam_o, -np.inf)[:, ::-1], axis=1)[:, ::-1]
+    next_lam = np.concatenate([later[:, 1:], np.full((m, 1), -np.inf)], axis=1)
+    hit = on & (w > _TINY) & (w <= lam_o + 1e-12) & (w >= next_lam - 1e-12)
+    first = np.argmax(hit, axis=1)
+    w_lo = np.maximum(w_floor, np.where(hit[rows, first], w[rows, first], 0.0))
+    w_lo[w_lo <= _TINY] = 1e-14
 
-    candidates = {w_lo}
-    candidates.update(float(lam[i]) for i in range(n) if lam[i] >= w_lo - 1e-12 and lam[i] > 0)
-    j_slack = int(np.argmax(lstar))
-    best = 0.0
+    # targets: w_lo and every positive arrival rate at or above it, none
+    # below a starved user's arrival rate
+    targets = np.concatenate([w_lo[:, None], np.repeat(lam[None, :], m, axis=0)], axis=1)
+    ok = np.concatenate([np.ones((m, 1), dtype=bool), (lam > 0) & (lam >= w_lo[:, None] - 1e-12)],
+                        axis=1) & (w_floor[:, None] <= targets + 1e-12)
+    c = np.maximum(0.0, (lam - targets[:, :, None]) * inv[:, None, :])
+    s = np.add.reduce(c, axis=2)
+    ok &= s <= 1.0 + 1e-9
+    c[rows, :, np.argmax(lstar, axis=1)] += np.maximum(0.0, 1.0 - s)
+    candidates, valid = [c], [ok]
 
-    def eval_allocation(c: np.ndarray) -> float:
-        den = float(np.max(lam - c * phi))
-        if den <= _TINY:
-            return -math.inf
-        return float(np.dot(c, lstar)) / den
+    if with_subset_candidates and n <= 12:
+        member = _user_sets(n)
+        sub_inv = inv[:, None, :] * member
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (np.add.reduce(lam * sub_inv, axis=2) - 1.0) / np.add.reduce(sub_inv, axis=2)
+            sub_c = (lam - w[:, :, None]) * sub_inv
+        ok = (np.logical_and.reduce(pos[:, None, :] | ~member, axis=2) & (w > _TINY)
+              & np.logical_and.reduce(sub_c >= -_FEAS_TOL, axis=2))
+        candidates.append(np.maximum(0.0, sub_c))
+        valid.append(ok)
 
-    for w in sorted(candidates):
-        if any(lam[i] > w + 1e-12 for i in zero_idx):
-            continue
-        c = np.zeros(n)
-        for i in pos_idx:
-            c[i] = max(0.0, (lam[i] - w) / phi[i])
-        s = float(c.sum())
-        if s > 1.0 + 1e-9:
-            continue
-        c[j_slack] += max(0.0, 1.0 - s)
-        best = max(best, eval_allocation(c))
-
-    if with_subset_candidates and len(pos_idx) <= 12:
-        for size in range(1, len(pos_idx) + 1):
-            for members in itertools.combinations(pos_idx, size):
-                sol = drift_solve(members, [phi[i] for i in members], lam)
-                if sol is None:
-                    continue
-                c = np.zeros(n)
-                for p, i in enumerate(members):
-                    c[i] = sol.c[p]
-                best = max(best, eval_allocation(c))
-    return best
+    c = np.concatenate(candidates, axis=1)
+    ok = np.concatenate(valid, axis=1)
+    den = np.maximum.reduce(lam - c * phi[:, None, :], axis=2)
+    ok &= den > _TINY
+    val = np.add.reduce(c * lstar[:, None, :], axis=2) / np.where(ok, den, 1.0)
+    return np.maximum(0.0, np.maximum.reduce(np.where(ok, val, -np.inf), axis=1))
 
 
 def _simplex_grid(n: int, resolution: float) -> np.ndarray:
@@ -459,13 +460,9 @@ def _simplex_grid(n: int, resolution: float) -> np.ndarray:
         c0 = np.linspace(0.0, 1.0, steps + 1)
         return np.stack([c0, 1.0 - c0], axis=1)
     if n == 3:
-        pts = []
-        grid = np.linspace(0.0, 1.0, steps + 1)
-        for a in grid:
-            for b in grid:
-                if a + b <= 1.0 + 1e-12:
-                    pts.append((a, b, 1.0 - a - b))
-        return np.asarray(pts)
+        a, b = np.meshgrid(*[np.linspace(0.0, 1.0, steps + 1)] * 2, indexing="ij")
+        keep = a + b <= 1.0 + 1e-12
+        return np.stack([a[keep], b[keep], 1.0 - a[keep] - b[keep]], axis=1)
     raise ValueError("simplex grid only implemented for n <= 3")
 
 
@@ -490,7 +487,7 @@ def upper_bound_eval(
         return math.inf
     if _hull_contains(lam, phi):
         return math.inf
-    best = _inner_sup_users(lam, phi, lstar)
+    best = float(_inner_sup_users(lam, phi[None, :], lstar[None, :])[0])
     if len(lam) <= 3:
         grid = _simplex_grid(len(lam), simplex_resolution)
         den = lam[None, :] - grid * phi[None, :]
@@ -525,14 +522,17 @@ def upper_bound_min(
     lo = np.array([rf.r_min for rf in rfs])
     hi = np.array([rf.mean for rf in rfs])
 
-    def objective(phi: np.ndarray) -> float:
+    def objective_rows(phi: np.ndarray) -> np.ndarray:
         phi = np.clip(phi, lo, hi)
-        lstar = np.array([t(p) for t, p in zip(tables, phi)])
-        if not np.all(np.isfinite(lstar)):
-            return _PENALTY
-        if _hull_contains(lam, phi):
-            return _PENALTY
-        return _inner_sup_users(lam, phi, lstar, with_subset_candidates=(n <= 6))
+        lstar = np.column_stack([t(phi[:, i]) for i, t in enumerate(tables)])
+        ok = ~_hull_contains(lam, phi)  # clipped twists have finite costs
+        out = np.full(len(phi), _PENALTY)
+        if ok.any():
+            out[ok] = _inner_sup_users(lam, phi[ok], lstar[ok], with_subset_candidates=(n <= 6))
+        return out
+
+    def objective(phi: np.ndarray) -> float:
+        return float(objective_rows(phi[None, :])[0])
 
     best_val = math.inf
     best_phi = hi.copy()
@@ -544,12 +544,17 @@ def upper_bound_min(
             else np.array([hi[i]])
             for i in range(n)
         ]
-        for combo in itertools.product(*axes):
-            phi = np.asarray(combo)
-            val = objective(phi)
-            if val < best_val and val < _PENALTY / 2:
-                best_val = val
-                best_phi = phi
+        # the whole product grid in row-major order, scored in bounded blocks
+        shape = tuple(len(a) for a in axes)
+        size = math.prod(shape)
+        for first in range(0, size, _GRID_BLOCK):
+            idx = np.unravel_index(np.arange(first, min(size, first + _GRID_BLOCK)), shape)
+            phi = np.column_stack([a[k] for a, k in zip(axes, idx)])
+            vals = objective_rows(phi)
+            at = int(np.argmin(vals))
+            if vals[at] < best_val and vals[at] < _PENALTY / 2:
+                best_val = float(vals[at])
+                best_phi = phi[at]
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x0B])))
     start_list = [np.clip(np.asarray(s, dtype=float), lo, hi) for s in starts]
@@ -835,15 +840,7 @@ class ExponentReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "jstar": self.jstar,
-            "ub_min": self.ub_min,
-            "gap": self.gap,
-            "phi_hat": self.phi_hat,
-            "method": self.method,
-            "resolution": self.resolution,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 def verify_matching(
@@ -857,7 +854,9 @@ def verify_matching(
     """Compute both exponent bounds and their gap for one instance.
 
     Singleton systems compute J* and the minimized universal upper bound
-    independently (matched bounds predict gap ~ 0).  General disjoint
+    independently (matched bounds predict gap ~ 0): J* exactly by its dual,
+    the upper bound by the search that ``grid_res``, ``multistarts`` and
+    ``seed`` steer, so the gap cross-checks the dual.  General disjoint
     systems report the minimized subset-structured bound as the predicted
     exponent (the matching policy attains it); simulation is the
     cross-check there.  Positivity of the exponent is asserted for every
@@ -874,9 +873,7 @@ def verify_matching(
         users = sorted(a[0] for a in subsets.subsets)
         lam_cov = [lam[i] for i in users]
         margs = [dist.user_marginal(i) for i in users]
-        jr = jstar_singleton(
-            lam_cov, margs, grid_res=grid_res, multistarts=multistarts, seed=seed
-        )
+        jr = jstar_singleton(lam_cov, margs)
         # theory predicts the minimizing twists extend J*'s by the means off S
         rfs = _as_rate_functions(margs)
         ext = [rf.mean for rf in rfs]
@@ -887,15 +884,6 @@ def verify_matching(
             starts=[ext],
         )
         t_window = overflow_time_window(lam_cov, phi_hat)
-        if math.isfinite(ub) and ub < jr.value * (1 - 1e-9):
-            # the bound minimizer found a cheaper twist: reseed the
-            # cost-per-drift search from it (the two problems share optima)
-            jr2 = jstar_singleton(
-                lam_cov, margs, grid_res=grid_res, multistarts=multistarts, seed=seed,
-                extra_starts=[phi_hat],
-            )
-            if jr2.value < jr.value:
-                jr = jr2
         if not jr.value > 0:
             raise RuntimeError("exponent lower bound is not positive on a stable instance")
         if math.isinf(jr.value) and math.isinf(ub):
@@ -916,6 +904,7 @@ def verify_matching(
             diagnostics={
                 "jstar_subset": jr.subset,
                 "jstar_phi": jr.phi,
+                "jstar_dual_gap": jr.dual_gap,
                 "per_subset": {",".join(map(str, k)): v for k, v in jr.per_subset.items()},
                 "covered_users": users,
                 "stability_margin": stab.margin,

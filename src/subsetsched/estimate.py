@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .policies import PolicySpec, make_policy
 from .ratefn import stability_check, tilt_to_mean
@@ -212,19 +213,26 @@ def tilted_proposals(model: SystemModel, phi: Sequence[float]) -> list[list[floa
     return proposals
 
 
-def _importance_worker(args: tuple) -> tuple[int, np.ndarray, int]:
+def _importance_worker(args: tuple) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """One chunk of attempts: per-attempt log-likelihood ratios, hit mask, slots.
+
+    Weights stay in log space: deep levels give hit weights far below the
+    smallest positive double.
+    """
     model, policy_spec, level, proposals, horizon, seed, chunk_idx, chunk_size = args
     sim = Simulator(model)
     rng = rng_from_seed(seed, _STREAM_IS, chunk_idx)
     policy = make_policy(policy_spec, model, rng_from_seed(seed, _STREAM_IS_POLICY, chunk_idx))
-    contributions = np.zeros(chunk_size)
+    log_weights = np.full(chunk_size, -np.inf)
+    hits = np.zeros(chunk_size, dtype=bool)
     slots = 0
     for j in range(chunk_size):
         hit, logw, used = sim.run_hitting(policy, level, rng, proposals=proposals, horizon=horizon)
         slots += used
         if hit:
-            contributions[j] = math.exp(logw)
-    return chunk_idx, contributions, slots
+            hits[j] = True
+            log_weights[j] = logw
+    return chunk_idx, log_weights, hits, slots
 
 
 def estimate_overflow_importance(
@@ -265,16 +273,19 @@ def estimate_overflow_importance(
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             results = list(pool.map(_importance_worker, jobs, chunksize=1))
     results.sort(key=lambda t: t[0])
-    contributions = np.concatenate([r[1] for r in results])
-    total_slots = sum(r[2] for r in results)
-    m = len(contributions)
-    p_hat = float(np.mean(contributions))
-    sd = float(np.std(contributions, ddof=1)) if m > 1 else 0.0
-    se = sd / math.sqrt(m) if m > 1 else 0.0
-    sum_w = float(np.sum(contributions))
-    sum_w2 = float(np.sum(contributions**2))
-    ess = (sum_w * sum_w / sum_w2) if sum_w2 > 0 else 0.0
-    hits = float(np.count_nonzero(contributions))
+    log_w = np.concatenate([r[1] for r in results])
+    hits = int(np.count_nonzero(np.concatenate([r[2] for r in results])))
+    total_slots = sum(r[3] for r in results)
+    m = len(log_w)
+    p_hat = se = ess = 0.0
+    if hits:
+        # mean and spread in log space, then scaled back once
+        log_sum = float(logsumexp(log_w))
+        p_hat = math.exp(log_sum - math.log(m))
+        ess = math.exp(2.0 * log_sum - float(logsumexp(2.0 * log_w)))
+        if m > 1:
+            scaled = np.exp(log_w - log_sum)  # weights over their sum
+            se = p_hat * math.sqrt(m / (m - 1) * float(np.sum((scaled - 1.0 / m) ** 2)))
     flags: list[str] = []
     if ess < min_ess:
         flags.append("low_effective_sample_size")
@@ -285,7 +296,7 @@ def estimate_overflow_importance(
         ci_hi=min(1.0, p_hat + _Z95 * se),
         replicas=replicas,
         method="importance",
-        events=hits,
+        events=float(hits),
         samples=m,
         ess=ess,
         flags=tuple(flags) + (f"slots={total_slots}",),
@@ -325,7 +336,9 @@ def fit_exponent(
 
     Uses only trustworthy levels: direct estimates need ``min_events``
     positive epochs, importance estimates an effective sample size of
-    ``min_ess``.  Weights follow the CI-propagated variance of log p; the
+    ``min_ess``.  Weights follow the CI-propagated variance of log p (the
+    log of a direct level's Wilson interval; the delta method se / p for an
+    importance level, whose normal interval may be clipped at 0); the
     slope standard error is propagated from those variances (not from
     residuals), and degenerates to an unweighted fit with zero error when
     all CIs are exact.
@@ -342,7 +355,12 @@ def fit_exponent(
         if est.method == "importance" and (est.ess or 0.0) < min_ess:
             excluded.append((est.level, f"ess<{min_ess:g}"))
             continue
-        if est.ci_lo > 0.0:
+        if est.method == "importance":
+            # delta method on the normal CI: sd(log p) = se / p, with se read
+            # off the half-width on the side that the clip to [0, 1] spared
+            half = max(est.ci_hi - est.p_hat, est.p_hat - est.ci_lo)
+            sigma = half / _Z95 / est.p_hat
+        elif est.ci_lo > 0.0:
             sigma = (math.log(est.ci_hi) - math.log(est.ci_lo)) / (2 * _Z95)
         else:
             sigma = 0.0

@@ -19,6 +19,8 @@ from subsetsched import (
     verify_matching,
 )
 
+from conftest import random_stable_two_user_instance
+
 BINARY = {0: 0.5, 2: 0.5}
 
 
@@ -112,6 +114,56 @@ class TestJstarSingleton:
         assert set(res.per_subset) == {(0,), (1,), (0, 1)}
         assert res.value == min(res.per_subset.values())
 
+    @pytest.mark.parametrize("trial, expected", [(4, 1.8611219), (6, 2.8796534), (9, 2.7426031)])
+    def test_exact_at_r_min_edge(self, trial, expected):
+        # criterion 3's battery instances whose optimum sits where one
+        # user's twist reaches rate 0; values from the Lagrange dual
+        rng = np.random.Generator(np.random.PCG64(303))
+        for _ in range(trial + 1):
+            lam, t1, t2 = random_stable_two_user_instance(rng)
+        res = jstar_singleton(lam, [t1, t2])
+        assert res.value == pytest.approx(expected, rel=1e-6)
+        assert abs(res.dual_gap) <= 1e-12 * res.value
+
+    def test_three_users_attained_and_not_beaten(self):
+        lam = [0.3, 0.25, 0.2]
+        margs = [BINARY, {0: 0.4, 1: 0.3, 3: 0.3}, {0: 0.3, 2: 0.7}]
+        rfs = [ScalarRateFunction(m) for m in margs]
+        res = jstar_singleton(lam, margs)
+        assert len(res.per_subset) == 7
+        assert cost_per_drift(res.subset, res.phi, lam, rfs) == pytest.approx(res.value, rel=1e-12)
+        assert res.dual_gap >= -1e-12 * res.value
+        rng = np.random.Generator(np.random.PCG64(47))
+        checked = 0
+        for members, value in res.per_subset.items():
+            lo = np.array([rfs[i].r_min for i in members])
+            hi = np.array([rfs[i].mean for i in members])
+            for _ in range(60):
+                phi = lo + rng.random(len(members)) * (hi - lo)
+                if drift_solve(members, phi, lam) is not None:
+                    assert cost_per_drift(members, phi, lam, rfs) >= value * (1 - 1e-12)
+                    checked += 1
+        # small moves around the winner's own twist
+        for _ in range(100):
+            lo = np.array([rfs[i].r_min for i in res.subset])
+            hi = np.array([rfs[i].mean for i in res.subset])
+            phi = np.clip(np.array(res.phi) * (1 + 1e-3 * rng.normal(size=len(res.phi))), lo, hi)
+            if drift_solve(res.subset, phi, lam) is not None:
+                assert cost_per_drift(res.subset, phi, lam, rfs) >= res.value * (1 - 1e-12)
+                checked += 1
+        assert checked > 150
+
+    def test_unreachable_sets_stay_infinite(self):
+        # a user without arrivals, or a point-mass channel faster than its
+        # arrivals, can never overflow on its own
+        res = jstar_singleton([0.0, 0.3, 0.4], [BINARY, {1: 1.0}, BINARY])
+        for members, value in res.per_subset.items():
+            if 0 in members or members == (1,):
+                assert value == math.inf
+            else:
+                assert math.isfinite(value) and value > 0
+        assert res.value == min(res.per_subset.values())
+
 
 class TestUpperBoundEval:
     def test_feasible_point_lower_bounds_sup(self):
@@ -128,20 +180,25 @@ class TestUpperBoundEval:
         assert upper_bound_eval([0.4, 0.4], [2.5, 0.5], [BINARY, BINARY]) == math.inf
 
     def test_grid_vs_candidates(self):
-        # the candidate family alone must already attain the simplex-grid sup
+        # the candidate family alone must already attain the simplex-grid sup,
+        # and scoring a batch of twists equals scoring them one row at a time
+        from subsetsched.bounds import _inner_sup_users
+
         rng = np.random.Generator(np.random.PCG64(41))
+        rf = ScalarRateFunction(BINARY)
         for _ in range(20):
             lam = rng.uniform(0.1, 0.45, size=2)
-            phi = rng.uniform(0.5, 1.4, size=2)
-            if lam[0] / phi[0] + lam[1] / phi[1] <= 1.0:
+            phis = rng.uniform(0.5, 1.4, size=(8, 2))
+            phis = phis[lam[0] / phis[:, 0] + lam[1] / phis[:, 1] > 1.0]
+            if len(phis) == 0:
                 continue
-            full = upper_bound_eval(lam, phi, [BINARY, BINARY], simplex_resolution=1e-3)
-            from subsetsched.bounds import _inner_sup_users
-
-            rfs = [ScalarRateFunction(BINARY)] * 2
-            lstar = np.array([rfs[i].rate(phi[i]) for i in range(2)])
-            fast = _inner_sup_users(np.asarray(lam), np.asarray(phi), lstar)
-            assert fast == pytest.approx(full, rel=1e-6, abs=1e-9)
+            lstar = np.vectorize(rf.rate)(phis)
+            batch = _inner_sup_users(lam, phis, lstar)
+            for row, phi in enumerate(phis):
+                full = upper_bound_eval(lam, phi, [BINARY, BINARY], simplex_resolution=1e-3)
+                single = _inner_sup_users(lam, phis[row : row + 1], lstar[row : row + 1])[0]
+                assert batch[row] == pytest.approx(full, rel=1e-6, abs=1e-9)
+                assert batch[row] == pytest.approx(single, rel=1e-12)
 
     def test_permutation_equivariance(self):
         lam = [0.3, 0.45]

@@ -14,7 +14,10 @@ from subsetsched import (
     estimate_overflow_direct,
     estimate_overflow_importance,
     fit_exponent,
+    verify_matching,
 )
+
+from conftest import random_stable_two_user_instance
 
 
 def one_user_model(lam="4/5"):
@@ -159,6 +162,26 @@ class TestImportance:
         # the zero-tilt run sees (next to) no hits this deep
         assert natural.events < 5 or width_t < width_n
 
+    def test_deep_level_weights_do_not_underflow(self):
+        # criterion 3's battery instance 1 (J* = 4.36): at level 100 every hit
+        # weight is below the smallest positive double
+        rng = np.random.Generator(np.random.PCG64(303))
+        for _ in range(2):
+            lam, t1, t2 = random_stable_two_user_instance(rng)
+        model = SystemModel(
+            dist=JointChannelDistribution.product_form([t1, t2]),
+            subsets=SubsetSystem.from_lists([[0], [1]], 2),
+            arrivals=ArrivalSpec.from_values(lam),
+        )
+        rep = verify_matching(lam, model.dist, model.subsets, grid_res=0.05, multistarts=4)
+        est = estimate_overflow_importance(
+            model, "max_queue", 100, phi=rep.phi_hat, replicas=200, seed=5
+        )
+        assert est.events > 0
+        assert 0.0 < est.p_hat < 1e-150 and math.isfinite(est.p_hat)
+        assert est.ess > 0.0
+        assert est.ci_lo <= est.p_hat <= est.ci_hi
+
     def test_worker_count_invariance(self, reference_model):
         kw = dict(phi=[0.6107, 0.6107], replicas=4000, seed=12)
         a = estimate_overflow_importance(reference_model, "max_queue", 8, workers=1, **kw)
@@ -224,6 +247,23 @@ class TestFitExponent:
         ests = [synthetic_estimate(n, math.exp(-n)) for n in (5, 10)]
         with pytest.raises(ValueError, match="3 usable"):
             fit_exponent(ests)
+
+    def test_clipped_importance_interval_keeps_its_weight_small(self):
+        # three tight levels on exponent 1/2, plus an importance level 3x off
+        # whose normal CI is clipped at 0: that level is the noisiest, so it
+        # must barely move the fit
+        def importance(level, p, half):
+            return OverflowEstimate(
+                level=level, p_hat=p, ci_lo=max(0.0, p - half), ci_hi=p + half,
+                replicas=1000, method="importance", events=500.0, samples=1000, ess=500.0,
+            )
+
+        ests = [importance(n, math.exp(-0.5 * n), 0.01 * math.exp(-0.5 * n)) for n in (5, 10, 15)]
+        p20 = 3 * math.exp(-10.0)
+        ests.append(importance(20, p20, 1.5 * p20))
+        fit = fit_exponent(ests)
+        assert fit.exponent == pytest.approx(0.5, abs=1e-3)
+        assert fit.levels == (5, 10, 15, 20)
 
     def test_untrusted_levels_excluded(self):
         ests = [synthetic_estimate(n, math.exp(-0.5 * n)) for n in (5, 10, 15)]
