@@ -21,14 +21,16 @@ outside their scaled-simplex hull, every sampling-frequency vector c on
 the simplex certifies sum_i c_i L*_i(phi_i) / max_i (lambda_i - c_i
 phi_i) as an overflow-cost bound; the sup over c is computed exactly by
 enumerating drift-equalizing support sets plus the breakpoints where the
-active set changes, and the best (smallest) bound is minimized over phi by
-a grid and multistart Nelder-Mead, independently of the dual.
+active set changes.  The bound is evaluated once, at J*'s twist on its
+winning set extended by the channel means off it.  Weak duality needs no
+search: J* <= (best exponent) <= the bound at every twist outside the
+hull, so the gap at that one twist bounds the true gap.
 A subset-structured variant replaces Cramér costs by relative-entropy
 costs of sub-state distributions and per-user rates by the winner-map
 vertices of each subset's service region.
 
 For matched singleton systems the two sides agree; the report carries
-both values, the minimizing twists, the dual gap and the grid resolutions.
+both values, the certifying twist and the dual gap.
 """
 
 from __future__ import annotations
@@ -53,12 +55,9 @@ from .ratefn import (
 
 _TINY = 1e-15
 _FEAS_TOL = 1e-12
-# finite infeasibility penalty: keeps Nelder-Mead and Brent arithmetic clean
-# where an infinite value would poison them
+# finite infeasibility penalty: keeps Brent arithmetic clean where an
+# infinite value would poison it
 _PENALTY = 1e18
-# rows of upper_bound_min's twist grid per numpy pass; larger blocks are no
-# faster and raise peak memory (32768 rows: +6 MB on a 101 x 101 grid)
-_GRID_BLOCK = 2048
 
 
 class UnstableArrivalsError(ValueError):
@@ -139,46 +138,6 @@ def cost_per_drift(
             return math.inf
         total += sol.c[pos] * cost
     return total / sol.w
-
-
-# ---------------------------------------------------------------------------
-# fast interpolated rate-function tables
-
-
-class _CramerTable:
-    """L* by interpolation, for upper_bound_min's grid and Nelder-Mead only.
-
-    Its search evaluates the cost of ~1e4 twists, too many for the exact
-    bisection-based dual; the winner is re-evaluated exactly.
-    """
-
-    def __init__(self, rf: ScalarRateFunction):
-        self.rf = rf
-        if rf.degenerate:
-            self.xs = np.array([rf.r_min])
-            self.vals = np.array([0.0])
-            return
-        # parametrize the dual by the tilt: x(eta) = L'(eta), value = eta x - L(eta);
-        # one vectorized pass gives the whole curve, monotone in x by convexity.
-        # Dense tilts near zero pin the smooth center to ~1e-7; sparse wide
-        # tails carry the curve toward the support endpoints.
-        etas = np.unique(np.concatenate([
-            np.linspace(-10.0, 10.0, 20001),
-            np.linspace(-60.0, 60.0, 1201),
-        ]))
-        z = etas[:, None] * rf.values[None, :] + np.log(rf.probs)[None, :]
-        zmax = z.max(axis=1)
-        w = np.exp(z - zmax[:, None])
-        sw = w.sum(axis=1)
-        xs = (w @ rf.values) / sw
-        log_mgf = zmax + np.log(sw)
-        vals = np.maximum(etas * xs - log_mgf, 0.0)
-        self.xs = np.concatenate([[rf.r_min], xs, [rf.r_max]])
-        self.vals = np.concatenate([[rf.rate(rf.r_min)], vals, [rf.rate(rf.r_max)]])
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = np.interp(x, self.xs, self.vals)
-        return np.where((x < self.rf.r_min - 1e-12) | (x > self.rf.r_max + 1e-12), np.inf, out)
 
 
 def _as_rate_functions(
@@ -320,8 +279,9 @@ def jstar_singleton(
     u_max and for the stationary level, Newton for each theta_i(u).  The
     reported value is the primal ``cost_per_drift`` at the recovered twist.
     ``grid_res``, ``multistarts`` and ``seed`` are accepted and ignored: the
-    dual leaves nothing to grid or restart, and callers share the settings
-    with ``upper_bound_min``.  Requires a strictly stable arrival vector.
+    dual leaves nothing to grid or restart, and callers pass the same
+    settings to ``verify_matching``.  Requires a strictly stable arrival
+    vector.
     """
     rfs = _as_rate_functions(marginals)
     lam = [float(v) for v in lams]
@@ -379,7 +339,6 @@ def _inner_sup_users(
     lam: np.ndarray,
     phi: np.ndarray,
     lstar: np.ndarray,
-    with_subset_candidates: bool = True,
 ) -> np.ndarray:
     """sup over the c-simplex of sum c_i lstar_i / max_i (lambda_i - c_i phi_i).
 
@@ -390,8 +349,8 @@ def _inner_sup_users(
     candidate family: for each denominator target w (the drift-equalizing
     root plus each arrival rate acting as an active-set breakpoint),
     allocate the minimum frequencies keeping all drifts <= w and give the
-    leftover mass to the costliest user; with ``with_subset_candidates``
-    (n <= 12), also the drift-equalizing frequencies of every user set.
+    leftover mass to the costliest user; for n <= 12, also the
+    drift-equalizing frequencies of every user set.
     Every candidate is evaluated honestly, so the result is a certified
     lower estimate that the piecewise-linear-fractional structure makes
     exact.  Reductions call the ufuncs directly, which matters at m = 1.
@@ -433,7 +392,7 @@ def _inner_sup_users(
     c[rows, :, np.argmax(lstar, axis=1)] += np.maximum(0.0, 1.0 - s)
     candidates, valid = [c], [ok]
 
-    if with_subset_candidates and n <= 12:
+    if n <= 12:
         member = _user_sets(n)
         sub_inv = inv[:, None, :] * member
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -502,83 +461,26 @@ def upper_bound_eval(
 def upper_bound_min(
     lams: Sequence[float],
     marginals: Sequence[Mapping[int, float] | ScalarRateFunction],
-    grid_res: float = 0.01,
-    multistarts: int = 64,
-    seed: int = 0,
-    starts: Sequence[Sequence[float]] = (),
-) -> tuple[float, tuple[float, ...], dict]:
-    """Best universal bound: minimize upper_bound_eval over twisted means.
+    jstar: JstarResult | None = None,
+) -> tuple[float, tuple[float, ...], JstarResult]:
+    """Universal bound at the matching twist, certified by weak duality.
 
-    Multistart Nelder-Mead over the box [r_min_i, mean_i] cross-checked by
-    a dense grid (<= 2 users at ``grid_res``, 3 users coarsened 2x); the
-    winner is re-evaluated with exact rate functions and the full inner
-    sup.  Requires a strictly stable arrival vector.
+    The twist is J*'s on its winning set, extended by the channel means off
+    it; a twist the dual floored at ``_PHI_FLOOR`` is evaluated at its
+    r_min = 0 edge itself, where the user is starved rather than served.
+    J* <= (best exponent) <= ``upper_bound_eval`` at every twist outside the
+    hull, so the bound at this one twist bounds the gap and no search over
+    twists could take it below J*.  ``jstar`` is this instance's
+    ``jstar_singleton`` result when the caller already has it.  Returns the
+    bound, the twist and that J* result.  Requires a strictly stable
+    arrival vector.
     """
     rfs = _as_rate_functions(marginals)
-    lam = np.asarray([float(v) for v in lams])
-    n = len(lam)
-    _check_singleton_stable(lam, rfs)
-    tables = [_CramerTable(rf) for rf in rfs]
-    lo = np.array([rf.r_min for rf in rfs])
-    hi = np.array([rf.mean for rf in rfs])
-
-    def objective_rows(phi: np.ndarray) -> np.ndarray:
-        phi = np.clip(phi, lo, hi)
-        lstar = np.column_stack([t(phi[:, i]) for i, t in enumerate(tables)])
-        ok = ~_hull_contains(lam, phi)  # clipped twists have finite costs
-        out = np.full(len(phi), _PENALTY)
-        if ok.any():
-            out[ok] = _inner_sup_users(lam, phi[ok], lstar[ok], with_subset_candidates=(n <= 6))
-        return out
-
-    def objective(phi: np.ndarray) -> float:
-        return float(objective_rows(phi[None, :])[0])
-
-    best_val = math.inf
-    best_phi = hi.copy()
-    used_grid = None
-    if n <= 3:
-        used_grid = grid_res if n <= 2 else 2 * grid_res
-        axes = [
-            np.arange(lo[i], hi[i] + used_grid / 2, used_grid) if hi[i] - lo[i] > 1e-12
-            else np.array([hi[i]])
-            for i in range(n)
-        ]
-        # the whole product grid in row-major order, scored in bounded blocks
-        shape = tuple(len(a) for a in axes)
-        size = math.prod(shape)
-        for first in range(0, size, _GRID_BLOCK):
-            idx = np.unravel_index(np.arange(first, min(size, first + _GRID_BLOCK)), shape)
-            phi = np.column_stack([a[k] for a, k in zip(axes, idx)])
-            vals = objective_rows(phi)
-            at = int(np.argmin(vals))
-            if vals[at] < best_val and vals[at] < _PENALTY / 2:
-                best_val = float(vals[at])
-                best_phi = phi[at]
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x0B])))
-    start_list = [np.clip(np.asarray(s, dtype=float), lo, hi) for s in starts]
-    if best_val < _PENALTY / 2:
-        start_list.append(best_phi.copy())
-    for _ in range(multistarts):
-        start_list.append(lo + rng.random(n) * (hi - lo))
-    for x0 in start_list:
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=list(zip(lo, hi)),
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400 * n},
-        )
-        if res.fun < best_val and res.fun < _PENALTY / 2:
-            best_val = float(res.fun)
-            best_phi = np.clip(res.x, lo, hi)
-
-    exact = upper_bound_eval(lam, best_phi, rfs)
-    if math.isfinite(exact):
-        best_val = exact
-    diagnostics = {"phi_grid": used_grid, "multistarts": multistarts}
-    return best_val, tuple(float(x) for x in best_phi), diagnostics
+    jr = jstar if jstar is not None else jstar_singleton(lams, rfs)
+    phi = [rf.mean for rf in rfs]
+    for user, p in zip(jr.subset, jr.phi):
+        phi[user] = rfs[user].r_min if p <= _PHI_FLOOR else p
+    return upper_bound_eval(lams, phi, rfs), tuple(phi), jr
 
 
 def overflow_time_window(
@@ -853,14 +755,15 @@ def verify_matching(
 ) -> ExponentReport:
     """Compute both exponent bounds and their gap for one instance.
 
-    Singleton systems compute J* and the minimized universal upper bound
-    independently (matched bounds predict gap ~ 0): J* exactly by its dual,
-    the upper bound by the search that ``grid_res``, ``multistarts`` and
-    ``seed`` steer, so the gap cross-checks the dual.  General disjoint
-    systems report the minimized subset-structured bound as the predicted
-    exponent (the matching policy attains it); simulation is the
-    cross-check there.  Positivity of the exponent is asserted for every
-    stable instance.
+    Singleton systems solve J* exactly by its dual and evaluate the
+    universal upper bound once, at J*'s own twist extended by the means
+    (``upper_bound_min``); by weak duality the gap between the two
+    certifies J* as the best exponent.  ``grid_res`` is accepted and
+    ignored, since no twist is searched for.  General disjoint systems
+    report the minimized subset-structured bound as the predicted exponent
+    (the matching policy attains it), searched with ``multistarts`` and
+    ``seed``; simulation is the cross-check there.  Positivity of the
+    exponent is asserted for every stable instance.
     """
     stab = stability_check(lams, dist, subsets)
     if stab.status != "stable_interior":
@@ -874,15 +777,7 @@ def verify_matching(
         lam_cov = [lam[i] for i in users]
         margs = [dist.user_marginal(i) for i in users]
         jr = jstar_singleton(lam_cov, margs)
-        # theory predicts the minimizing twists extend J*'s by the means off S
-        rfs = _as_rate_functions(margs)
-        ext = [rf.mean for rf in rfs]
-        for pos, user_pos in enumerate(jr.subset):
-            ext[user_pos] = jr.phi[pos]
-        ub, phi_hat, diag = upper_bound_min(
-            lam_cov, margs, grid_res=grid_res, multistarts=multistarts, seed=seed,
-            starts=[ext],
-        )
+        ub, phi_hat, _ = upper_bound_min(lam_cov, margs, jstar=jr)
         t_window = overflow_time_window(lam_cov, phi_hat)
         if not jr.value > 0:
             raise RuntimeError("exponent lower bound is not positive on a stable instance")
@@ -897,7 +792,6 @@ def verify_matching(
             phi_hat=phi_hat,
             method="singleton_matching",
             resolution={
-                "phi_grid": grid_res,
                 "inner": "exact candidate family + 1e-3 simplex grid",
                 "value_tol": 1e-6,
             },
@@ -909,7 +803,6 @@ def verify_matching(
                 "covered_users": users,
                 "stability_margin": stab.margin,
                 "overflow_time_window": t_window,
-                **diag,
             },
         )
     value, phis, diag = minimize_subset_upper_bound(

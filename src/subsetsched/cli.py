@@ -127,7 +127,6 @@ def cmd_bounds(cfg: ExperimentConfig, out: Path) -> int:
         model.arrivals.floats(),
         model.dist,
         model.subsets,
-        grid_res=float(cfg.bounds["grid_resolution"]),
         multistarts=int(cfg.bounds["multistarts"]),
         seed=cfg.seed,
     )
@@ -148,7 +147,6 @@ def cmd_exponent(cfg: ExperimentConfig, out: Path, workers: int | None) -> int:
         model.arrivals.floats(),
         model.dist,
         model.subsets,
-        grid_res=float(cfg.bounds["grid_resolution"]),
         multistarts=int(cfg.bounds["multistarts"]),
         seed=cfg.seed,
     )
@@ -201,7 +199,7 @@ def cmd_exponent(cfg: ExperimentConfig, out: Path, workers: int | None) -> int:
             fh,
             fieldnames=[
                 "level", "p_hat", "ci_lo", "ci_hi", "replicas",
-                "method", "events", "samples", "ess", "flags",
+                "method", "events", "samples", "ess", "slots", "truncated", "flags",
             ],
         )
         writer.writeheader()

@@ -24,7 +24,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (CLI exit code 2)."""
 
 
-_BOUND_DEFAULTS = {"grid_resolution": 0.01, "multistarts": 64}
+_BOUND_DEFAULTS = {"multistarts": 64}
 _EST_DEFAULTS = {"method": "auto", "phi": None, "cycles": 20000, "is_horizon": None}
 
 

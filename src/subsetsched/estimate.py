@@ -50,6 +50,8 @@ class OverflowEstimate:
     samples: int  # sampled epochs (direct) or cycles (importance)
     ess: float | None = None
     flags: tuple[str, ...] = ()
+    slots: int = 0  # simulated slots over all replicas
+    truncated: int = 0  # importance attempts cut off at max_slots, neither hit nor ended
 
     def to_row(self) -> dict:
         return {
@@ -62,6 +64,8 @@ class OverflowEstimate:
             "events": self.events,
             "samples": self.samples,
             "ess": "" if self.ess is None else self.ess,
+            "slots": self.slots,
+            "truncated": self.truncated,
             "flags": ";".join(self.flags),
         }
 
@@ -164,6 +168,7 @@ def direct_overflow_curve(
                 samples=samples,
                 ess=None,
                 flags=flags,
+                slots=int(replicas) * int(horizon),
             )
         )
     meta = {
@@ -213,8 +218,8 @@ def tilted_proposals(model: SystemModel, phi: Sequence[float]) -> list[list[floa
     return proposals
 
 
-def _importance_worker(args: tuple) -> tuple[int, np.ndarray, np.ndarray, int]:
-    """One chunk of attempts: per-attempt log-likelihood ratios, hit mask, slots.
+def _importance_worker(args: tuple) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+    """One chunk of attempts: log-likelihood ratios, hit mask, slots, truncations.
 
     Weights stay in log space: deep levels give hit weights far below the
     smallest positive double.
@@ -225,14 +230,17 @@ def _importance_worker(args: tuple) -> tuple[int, np.ndarray, np.ndarray, int]:
     policy = make_policy(policy_spec, model, rng_from_seed(seed, _STREAM_IS_POLICY, chunk_idx))
     log_weights = np.full(chunk_size, -np.inf)
     hits = np.zeros(chunk_size, dtype=bool)
-    slots = 0
+    slots = truncated = 0
     for j in range(chunk_size):
-        hit, logw, used = sim.run_hitting(policy, level, rng, proposals=proposals, horizon=horizon)
+        hit, logw, used, cut = sim.run_hitting(
+            policy, level, rng, proposals=proposals, horizon=horizon
+        )
         slots += used
+        truncated += cut
         if hit:
             hits[j] = True
             log_weights[j] = logw
-    return chunk_idx, log_weights, hits, slots
+    return chunk_idx, log_weights, hits, slots, truncated
 
 
 def estimate_overflow_importance(
@@ -254,7 +262,9 @@ def estimate_overflow_importance(
     unbiased for the natural-law hitting probability (hit ``level`` before
     regenerating, or within ``horizon`` slots when given).  Normal 95% CI
     from the per-attempt variance; flagged when the effective sample size
-    falls under ``min_ess``.
+    falls under ``min_ess``, and when attempts without a ``horizon`` were
+    cut off at the simulator's ``max_slots`` (counted in ``truncated``:
+    such an attempt is not a miss, its outcome is unknown).
     """
     spec = PolicySpec(policy) if isinstance(policy, str) else policy
     proposals = tilted_proposals(model, phi)
@@ -276,6 +286,7 @@ def estimate_overflow_importance(
     log_w = np.concatenate([r[1] for r in results])
     hits = int(np.count_nonzero(np.concatenate([r[2] for r in results])))
     total_slots = sum(r[3] for r in results)
+    truncated = sum(r[4] for r in results)
     m = len(log_w)
     p_hat = se = ess = 0.0
     if hits:
@@ -289,6 +300,8 @@ def estimate_overflow_importance(
     flags: list[str] = []
     if ess < min_ess:
         flags.append("low_effective_sample_size")
+    if truncated:
+        flags.append("truncated_attempts")
     return OverflowEstimate(
         level=int(level),
         p_hat=p_hat,
@@ -299,7 +312,9 @@ def estimate_overflow_importance(
         events=float(hits),
         samples=m,
         ess=ess,
-        flags=tuple(flags) + (f"slots={total_slots}",),
+        flags=tuple(flags),
+        slots=total_slots,
+        truncated=truncated,
     )
 
 

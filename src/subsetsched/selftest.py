@@ -111,7 +111,7 @@ def _check_importance() -> tuple[bool, str]:
 def _check_matching() -> tuple[bool, str]:
     dist = JointChannelDistribution.product_form([{0: 0.5, 2: 0.5}, {0: 0.5, 2: 0.5}])
     subsets = SubsetSystem.from_lists([[0], [1]], 2)
-    report = verify_matching([0.4, 0.4], dist, subsets, grid_res=0.02, multistarts=16, seed=1)
+    report = verify_matching([0.4, 0.4], dist, subsets, multistarts=16, seed=1)
     return report.gap < 1e-2 and report.jstar > 0, (
         f"jstar {report.jstar:.6f}, ub {report.ub_min:.6f}, gap {report.gap:.2e}"
     )

@@ -159,26 +159,6 @@ class SystemState:
     ghat: list[list[list[int]]]  # ... further split by scheduled member
     m: list[int]  # per-user partial sums of sampled rates
 
-    @classmethod
-    def initial(cls, model: SystemModel, q0: Sequence[int] | None = None) -> "SystemState":
-        n = model.num_users
-        start = [0] * n if q0 is None else [int(v) for v in q0]
-        if len(start) != n or any(v < 0 for v in start):
-            raise ValueError("initial queue vector must be nonnegative of length num_users")
-        subs = model.subsets.subsets
-        sub_sizes = [len(model.dist.substate_marginal(a).substates) for a in subs]
-        return cls(
-            k=0,
-            q=list(start),
-            q0=tuple(start),
-            f=[0] * n,
-            fhat=[0] * n,
-            c=[0] * len(subs),
-            g=[[0] * sz for sz in sub_sizes],
-            ghat=[[[0] * len(a) for _ in range(sz)] for a, sz in zip(subs, sub_sizes)],
-            m=[0] * n,
-        )
-
 
 @dataclass
 class SampledTrace:
@@ -482,17 +462,18 @@ class Simulator:
         proposals: Sequence[Sequence[float] | None] | None = None,
         horizon: int | None = None,
         max_slots: int = 10**7,
-    ) -> tuple[bool, float, int]:
+    ) -> tuple[bool, float, int, bool]:
         """One overflow attempt from the all-empty state.
 
         Runs until the longest queue reaches ``level`` (hit), the attempt
         ends at the first all-empty slot once arrivals have begun (the
         deterministic empty stretch before the first arrival is skipped,
         otherwise the stopping state could be unreachable), or ``horizon``
-        slots elapse when given.  Returns (hit, log_weight, slots) with
-        the log importance weight of the drawn sub-states under the
-        natural law relative to the proposals, accumulated up to the
-        stopping slot.
+        slots elapse when given.  Returns (hit, log_weight, slots,
+        truncated) with the log importance weight of the drawn sub-states
+        under the natural law relative to the proposals, accumulated up to
+        the stopping slot; ``truncated`` marks an attempt without a
+        ``horizon`` that ``max_slots`` cut off before it hit or ended.
         """
         if proposals is None:
             cums, logw = self.sub_cum, None
@@ -510,10 +491,10 @@ class Simulator:
             if logw is not None:
                 log_weight += logw[a][rid]
             if max(q) >= level:
-                return True, log_weight, k + 1
+                return True, log_weight, k + 1, False
             if horizon is None and k >= empty_ok_after and not any(q):
-                return False, log_weight, k + 1
-        return False, log_weight, limit
+                return False, log_weight, k + 1, False
+        return False, log_weight, limit, horizon is None
 
     def replay(
         self,

@@ -147,7 +147,7 @@ def test_criterion_4_simulated_exponent_matches_jstar():
             model, "max_queue", level, phi=rep.phi_hat, replicas=32_000,
             seed=404, workers=WORKERS,
         )
-        total_slots += int(next(f for f in est.flags if f.startswith("slots=")).split("=")[1])
+        total_slots += est.slots
         estimates.append(est)
     fit = fit_exponent(estimates)
     elapsed = time.monotonic() - t0

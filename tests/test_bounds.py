@@ -24,6 +24,13 @@ from conftest import random_stable_two_user_instance
 BINARY = {0: 0.5, 2: 0.5}
 
 
+def criterion_3_battery():
+    """Acceptance criterion 3's instances: the reference pair, then ten random ones."""
+    rng = np.random.Generator(np.random.PCG64(303))
+    return [([0.4, 0.4], BINARY, BINARY)] + [random_stable_two_user_instance(rng)
+                                             for _ in range(10)]
+
+
 class TestDriftSolve:
     def test_hand_solved_system(self):
         sol = drift_solve((0, 1), (0.5, 0.5), (0.4, 0.4))
@@ -338,6 +345,61 @@ class TestVerifyMatching:
         from subsetsched.cli import _json_safe
 
         json.dumps(_json_safe(rep.to_dict()))
+
+
+class MemoRate(ScalarRateFunction):
+    """L* memoized per twist: a product grid revisits every axis value."""
+
+    def __init__(self, marginal):
+        super().__init__(marginal)
+        self._memo = {}
+
+    def rate(self, x):
+        if x not in self._memo:
+            self._memo[x] = super().rate(x)
+        return self._memo[x]
+
+
+class TestMatchingCertificate:
+    def test_battery_gap_at_the_dual_twist(self):
+        singles = SubsetSystem.from_lists([[0], [1]], 2)
+        for lam, t1, t2 in criterion_3_battery():
+            dist = JointChannelDistribution.product_form([t1, t2])
+            rep = verify_matching(lam, dist, singles, grid_res=0.05, multistarts=4)
+            assert rep.gap <= 1e-9, (lam, rep.gap)
+            twist = [ScalarRateFunction(dist.user_marginal(i)).mean for i in (0, 1)]
+            for user, phi in zip(rep.diagnostics["jstar_subset"], rep.diagnostics["jstar_phi"]):
+                twist[user] = phi
+            assert rep.phi_hat == tuple(twist)
+
+    def test_floored_twist_evaluated_at_the_edge(self):
+        # user 1 starves at the optimum: the dual floors its twist at 1e-13,
+        # and the bound must read it at rate 0, where the user is unserved
+        lam = [1.568, 0.027, 0.796]
+        margs = [{2: 0.45952685930944553, 3: 0.4899834054028035, 5: 0.05048973528775092},
+                 {0: 0.18407152951071867, 5: 0.8159284704892814},
+                 {3: 0.07339682915820432, 4: 0.9266031708417957}]
+        rep = verify_matching(lam, JointChannelDistribution.product_form(margs),
+                              SubsetSystem.from_lists([[0], [1], [2]], 3),
+                              grid_res=0.05, multistarts=4)
+        assert rep.jstar == pytest.approx(11.6396820425, rel=1e-10)
+        assert rep.diagnostics["jstar_subset"] == (0, 1, 2)
+        assert rep.diagnostics["jstar_phi"][1] <= 1e-13
+        assert rep.phi_hat[1] == 0.0
+        assert rep.gap <= 1e-9
+
+    def test_no_grid_twist_beats_jstar(self):
+        # independent of the dual: no twist on a 0.05 product grid over
+        # [r_min, mean] takes the universal bound below J*; the coarse inner
+        # simplex grid is a subset of the default one, so each value can only
+        # read lower and the check only stricter
+        for lam, t1, t2 in criterion_3_battery():
+            rfs = [MemoRate(t1), MemoRate(t2)]
+            jstar = jstar_singleton(lam, rfs).value
+            axes = [np.arange(rf.r_min, rf.mean + 0.025, 0.05) for rf in rfs]
+            best = min(upper_bound_eval(lam, [float(a), float(b)], rfs, simplex_resolution=0.05)
+                       for a in axes[0] for b in axes[1])
+            assert best >= jstar * (1 - 1e-9), (lam, best, jstar)
 
 
 class TestOverflowTimeWindow:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from subsetsched import (
     ArrivalSpec,
     JointChannelDistribution,
     OverflowEstimate,
+    Simulator,
     SubsetSystem,
     SystemModel,
     direct_overflow_curve,
@@ -182,6 +184,19 @@ class TestImportance:
         assert est.ess > 0.0
         assert est.ci_lo <= est.p_hat <= est.ci_hi
 
+    def test_attempts_cut_at_max_slots_are_counted(self, reference_model, monkeypatch):
+        kw = dict(phi=[0.6107, 0.6107], replicas=10, seed=3)
+        full = estimate_overflow_importance(reference_model, "max_queue", 5, **kw)
+        assert full.truncated == 0 and "truncated_attempts" not in full.flags
+        assert full.slots >= 10 * 3
+        # two slots end no attempt on this model (first arrival at slot 2)
+        monkeypatch.setattr(
+            Simulator, "run_hitting", functools.partialmethod(Simulator.run_hitting, max_slots=2)
+        )
+        cut = estimate_overflow_importance(reference_model, "max_queue", 5, **kw)
+        assert cut.truncated == 10 and "truncated_attempts" in cut.flags
+        assert cut.slots == 20 and cut.events == 0
+
     def test_worker_count_invariance(self, reference_model):
         kw = dict(phi=[0.6107, 0.6107], replicas=4000, seed=12)
         a = estimate_overflow_importance(reference_model, "max_queue", 8, workers=1, **kw)
@@ -202,7 +217,7 @@ def test_exponent_nonincreasing_in_load():
             arrivals=ArrivalSpec.from_values([lam, lam]),
         )
         lam_f = model.arrivals.floats()
-        _, phi_hat, _ = upper_bound_min(lam_f, [{0: 0.5, 2: 0.5}] * 2, multistarts=16)
+        _, phi_hat, _ = upper_bound_min(lam_f, [{0: 0.5, 2: 0.5}] * 2)
         ests = [
             estimate_overflow_importance(
                 model, "max_queue", lvl, phi=phi_hat, replicas=8000, seed=21, workers=2

@@ -174,6 +174,16 @@ class TestRun:
         assert res.first_hit[50] is None
         assert sum(res.state.c) == 5000
 
+    def test_hitting_attempt_cut_at_max_slots_is_truncated(self, reference_model):
+        # the first arrival comes at slot 2, so two slots can neither hit
+        # the level nor end the attempt at an empty system
+        sim = Simulator(reference_model)
+        policy = MaxQueue(reference_model.subsets)
+        hit, _, slots, truncated = sim.run_hitting(policy, 5, rng_from_seed(8), max_slots=2)
+        assert (hit, slots, truncated) == (False, 2, True)
+        # a horizon is the attempt's own end, not a truncation
+        assert sim.run_hitting(policy, 5, rng_from_seed(8), horizon=2)[3] is False
+
     def test_horizon_validation(self):
         model = single_user_model(0, {1: 1.0})
         with pytest.raises(ValueError):
