@@ -19,15 +19,23 @@ exactly, whose maximizer gives back the primal twist phi_i = L_i'(-theta_i).
 Upper-bound side: for any twisted means phi with the arrival vector
 outside their scaled-simplex hull, every sampling-frequency vector c on
 the simplex certifies sum_i c_i L*_i(phi_i) / max_i (lambda_i - c_i
-phi_i) as an overflow-cost bound; the sup over c is computed exactly by
-enumerating drift-equalizing support sets plus the breakpoints where the
-active set changes.  The bound is evaluated once, at J*'s twist on its
-winning set extended by the channel means off it.  Weak duality needs no
-search: J* <= (best exponent) <= the bound at every twist outside the
-hull, so the gap at that one twist bounds the true gap.
+phi_i) as an overflow-cost bound.  The sup over c is a linear-fractional
+program (Charnes and Cooper, Naval Res. Logist. Q. 9, 1962), solved
+exactly by a breakpoint walk.  Fix a denominator level w: the least
+frequencies keeping every drift <= w are need_i(w) = max(0, (lambda_i -
+w) / phi_i), which fit on the simplex once w >= w_lo, the drift floor
+(never below a starved user's lambda_i), and the leftover mass is worth
+most on the costliest user.  The best numerator g(w) is piecewise linear
+with breakpoints at the lambda_i, and on each piece g(w) / w = alpha / w +
+beta is monotone, so the sup is attained at w_lo or at some lambda_i.
+The bound is evaluated once, at J*'s twist on its winning set extended by
+the channel means off it.  Weak duality needs no search: J* <= (best
+exponent) <= the bound at every twist outside the hull, so the gap at
+that one twist bounds the true gap.
 A subset-structured variant replaces Cramér costs by relative-entropy
 costs of sub-state distributions and per-user rates by the winner-map
-vertices of each subset's service region.
+vertices of each subset's service region; under its verbatim
+denominator each subset acts as one user, so the same walk solves it.
 
 For matched singleton systems the two sides agree; the report carries
 both values, the certifying twist and the dual gap.
@@ -35,7 +43,6 @@ both values, the certifying twist and the dual gap.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -326,117 +333,75 @@ def _hull_contains(lams: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return ~starved & (load <= 1.0 + 1e-12)
 
 
-@functools.lru_cache(maxsize=None)
-def _user_sets(n: int) -> np.ndarray:
-    """Membership masks of the nonempty subsets of n users, by size (read-only)."""
-    sets = [m for k in range(1, n + 1) for m in itertools.combinations(range(n), k)]
-    out = np.array([[i in m for i in range(n)] for m in sets], dtype=bool)
-    out.flags.writeable = False
-    return out
+def _drift_floor(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Lowest common drift level w that each row of twists can hold every queue to.
+
+    Row-wise over an (m, n) batch of twists: the least w >= 0 with
+    sum_i max(0, (lambda_i - w) / phi_i) <= 1, raised to the arrival rate of
+    any user the twist starves (phi_i = 0).  Every user set's
+    drift-equalizing level lies at or below that root, since its budget
+    terms are bounded by the max(0, .) ones, and the users above the root
+    are a prefix by decreasing arrival rate whose level is the root: so
+    the root is the largest level over those prefixes.
+    """
+    pos = phi > _TINY
+    inv = 1.0 / np.where(pos, phi, np.inf)
+    w_floor = np.maximum.reduce(np.where(pos, 0.0, lam), axis=1)  # starved users
+    order = np.argsort(-lam, kind="stable")
+    inv_o = inv[:, order]
+    with np.errstate(divide="ignore"):  # a prefix of starved users only: -inf
+        w = (np.cumsum(lam[order] * inv_o, axis=1) - 1.0) / np.cumsum(inv_o, axis=1)
+    return np.maximum(w_floor, np.maximum.reduce(w, axis=1, initial=0.0))
 
 
 def _inner_sup_users(
     lam: np.ndarray,
     phi: np.ndarray,
     lstar: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """sup over the c-simplex of sum c_i lstar_i / max_i (lambda_i - c_i phi_i).
 
     Row-wise over an (m, n) batch of twists ``phi`` and their finite costs
-    ``lstar``, in one set of (m, candidates, n) array passes.  Assumes the
-    hull check already excluded the arrival vector, so every c has a
-    strictly positive denominator.  The sup equals the best of a finite
-    candidate family: for each denominator target w (the drift-equalizing
-    root plus each arrival rate acting as an active-set breakpoint),
-    allocate the minimum frequencies keeping all drifts <= w and give the
-    leftover mass to the costliest user; for n <= 12, also the
-    drift-equalizing frequencies of every user set.
-    Every candidate is evaluated honestly, so the result is a certified
-    lower estimate that the piecewise-linear-fractional structure makes
-    exact.  Reductions call the ufuncs directly, which matters at m = 1.
+    ``lstar``, in one set of (m, n + 1, n) array passes.  Assumes the hull
+    check already excluded the arrival vector, so every c has a strictly
+    positive denominator.  Exact by the breakpoint argument of the module
+    docstring: the candidates are the denominator levels w_lo (the drift
+    floor) and every arrival rate above it, each allocating the
+    least frequencies that keep all drifts <= w and the leftover mass to
+    the costliest user.  Returns the sups (floored at 0) and an (m, n)
+    array of the frequencies attaining them.  Reductions call the ufuncs
+    directly, which matters at m = 1.
     """
     m, n = phi.shape
     if n == 0 or lam.max() <= _TINY:
-        return np.zeros(m)
+        return np.zeros(m), np.zeros((m, n))
     rows = np.arange(m)
-    pos = phi > _TINY
-    inv = 1.0 / np.where(pos, phi, np.inf)
-    w_floor = np.maximum.reduce((lam > _TINY) * ~pos * lam, axis=1)  # starved users
-
-    # exact root of sum_i max(0, (lam_i - w)/phi_i) = 1: on the piece where the
-    # active set is fixed the equation is the drift-equalizing formula; walk
-    # the users by decreasing arrival rate, skipping each row's zero twists
-    order = np.argsort(-lam, kind="stable")
-    order = order[lam[order] > _TINY]
-    lam_o = lam[order]
-    inv_o = inv[:, order]
-    on = pos[:, order]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = (np.cumsum(lam_o * inv_o, axis=1) - 1.0) / np.cumsum(inv_o, axis=1)
-    # arrival rate of each row's next walked user (-inf past the last)
-    later = np.maximum.accumulate(np.where(on, lam_o, -np.inf)[:, ::-1], axis=1)[:, ::-1]
-    next_lam = np.concatenate([later[:, 1:], np.full((m, 1), -np.inf)], axis=1)
-    hit = on & (w > _TINY) & (w <= lam_o + 1e-12) & (w >= next_lam - 1e-12)
-    first = np.argmax(hit, axis=1)
-    w_lo = np.maximum(w_floor, np.where(hit[rows, first], w[rows, first], 0.0))
-    w_lo[w_lo <= _TINY] = 1e-14
-
-    # targets: w_lo and every positive arrival rate at or above it, none
-    # below a starved user's arrival rate
-    targets = np.concatenate([w_lo[:, None], np.repeat(lam[None, :], m, axis=0)], axis=1)
-    ok = np.concatenate([np.ones((m, 1), dtype=bool), (lam > 0) & (lam >= w_lo[:, None] - 1e-12)],
-                        axis=1) & (w_floor[:, None] <= targets + 1e-12)
-    c = np.maximum(0.0, (lam - targets[:, :, None]) * inv[:, None, :])
+    w_lo = np.maximum(_drift_floor(lam, phi), 1e-14)[:, None]
+    # levels: w_lo and every arrival rate, one below w_lo lifted to it
+    w = np.concatenate([w_lo, np.maximum(lam, w_lo)], axis=1)
+    inv = 1.0 / np.where(phi > _TINY, phi, np.inf)
+    c = np.maximum(0.0, (lam - w[:, :, None]) * inv[:, None, :])
     s = np.add.reduce(c, axis=2)
-    ok &= s <= 1.0 + 1e-9
     c[rows, :, np.argmax(lstar, axis=1)] += np.maximum(0.0, 1.0 - s)
-    candidates, valid = [c], [ok]
-
-    if n <= 12:
-        member = _user_sets(n)
-        sub_inv = inv[:, None, :] * member
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = (np.add.reduce(lam * sub_inv, axis=2) - 1.0) / np.add.reduce(sub_inv, axis=2)
-            sub_c = (lam - w[:, :, None]) * sub_inv
-        ok = (np.logical_and.reduce(pos[:, None, :] | ~member, axis=2) & (w > _TINY)
-              & np.logical_and.reduce(sub_c >= -_FEAS_TOL, axis=2))
-        candidates.append(np.maximum(0.0, sub_c))
-        valid.append(ok)
-
-    c = np.concatenate(candidates, axis=1)
-    ok = np.concatenate(valid, axis=1)
     den = np.maximum.reduce(lam - c * phi[:, None, :], axis=2)
-    ok &= den > _TINY
-    val = np.add.reduce(c * lstar[:, None, :], axis=2) / np.where(ok, den, 1.0)
-    return np.maximum(0.0, np.maximum.reduce(np.where(ok, val, -np.inf), axis=1))
-
-
-def _simplex_grid(n: int, resolution: float) -> np.ndarray:
-    steps = int(round(1.0 / resolution))
-    if n == 1:
-        return np.array([[1.0]])
-    if n == 2:
-        c0 = np.linspace(0.0, 1.0, steps + 1)
-        return np.stack([c0, 1.0 - c0], axis=1)
-    if n == 3:
-        a, b = np.meshgrid(*[np.linspace(0.0, 1.0, steps + 1)] * 2, indexing="ij")
-        keep = a + b <= 1.0 + 1e-12
-        return np.stack([a[keep], b[keep], 1.0 - a[keep] - b[keep]], axis=1)
-    raise ValueError("simplex grid only implemented for n <= 3")
+    ok = (s <= 1.0 + 1e-9) & (den > _TINY)
+    val = np.where(ok, np.add.reduce(c * lstar[:, None, :], axis=2) / np.where(ok, den, 1.0),
+                   -np.inf)
+    best = np.argmax(val, axis=1)
+    return np.maximum(0.0, val[rows, best]), c[rows, best]
 
 
 def upper_bound_eval(
     lams: Sequence[float],
     phis: Sequence[float],
     marginals: Sequence[Mapping[int, float] | ScalarRateFunction],
-    simplex_resolution: float = 1e-3,
 ) -> float:
     """Universal overflow-cost bound for one choice of twisted means.
 
     ``inf`` when the arrival vector lies in the twisted hull or any twist
     leaves its rate function's effective domain (the bound is vacuous
-    there).  The inner sup over sampling frequencies combines the exact
-    candidate family with a simplex-grid refinement for <= 3 users.
+    there).  The inner sup over sampling frequencies is exact
+    (``_inner_sup_users``).
     """
     rfs = _as_rate_functions(marginals)
     lam = np.asarray([float(v) for v in lams])
@@ -446,16 +411,7 @@ def upper_bound_eval(
         return math.inf
     if _hull_contains(lam, phi):
         return math.inf
-    best = float(_inner_sup_users(lam, phi[None, :], lstar[None, :])[0])
-    if len(lam) <= 3:
-        grid = _simplex_grid(len(lam), simplex_resolution)
-        den = lam[None, :] - grid * phi[None, :]
-        den = den.max(axis=1)
-        num = grid @ lstar
-        ok = den > _TINY
-        if np.any(ok):
-            best = max(best, float(np.max(num[ok] / den[ok])))
-    return best
+    return float(_inner_sup_users(lam, phi[None, :], lstar[None, :])[0][0])
 
 
 def upper_bound_min(
@@ -491,9 +447,10 @@ def overflow_time_window(
     For fluid inputs at the arrival rates drained by any rate vector in the
     twisted hull: the longest queue reaches level 1 no sooner than
     ``1 / max_i lambda_i`` and, when the arrivals lie outside the hull, no
-    later than ``1 / min_{mu in hull} max_i (lambda_i - mu_i)`` (the inner
-    LP is over the scaled simplex).  Diagnostic companion to the universal
-    upper bound.
+    later than ``1 / min_{mu in hull} max_i (lambda_i - mu_i)``.  That
+    minimum is the drift floor w_lo of ``_drift_floor``: draining user i
+    down to drift w costs (lambda_i - w) / phi_i of the hull's unit budget.
+    Diagnostic companion to the universal upper bound.
     """
     lam = np.asarray([float(v) for v in lams])
     phi = np.asarray([float(v) for v in phis])
@@ -503,23 +460,10 @@ def overflow_time_window(
     t_min = 1.0 / lam_max
     if _hull_contains(lam, phi):
         return t_min, math.inf
-    n = len(lam)
-    # variables [t, mu]: min t s.t. lambda_i - mu_i <= t, sum mu_i/phi_i <= 1
-    c = np.zeros(n + 1)
-    c[0] = 1.0
-    a_ub = np.zeros((n + 1, n + 1))
-    a_ub[:n, 0] = -1.0
-    a_ub[:n, 1:] = -np.eye(n)
-    b_ub = np.concatenate([-lam, [1.0]])
-    with np.errstate(divide="ignore"):
-        a_ub[n, 1:] = np.where(phi > _TINY, 1.0 / np.maximum(phi, _TINY), 0.0)
-    bounds_list = [(None, None)] + [
-        (0.0, 0.0 if phi[i] <= _TINY else None) for i in range(n)
-    ]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds_list, method="highs")
-    if not res.success or res.fun <= _TINY:
+    w_lo = float(_drift_floor(lam, phi[None, :])[0])
+    if w_lo <= _TINY:
         return t_min, math.inf
-    return t_min, 1.0 / float(res.fun)
+    return t_min, 1.0 / w_lo
 
 
 # ---------------------------------------------------------------------------
@@ -552,23 +496,26 @@ def subset_upper_bound(
     dist: JointChannelDistribution,
     subsets: SubsetSystem,
     phis: Sequence[Sequence[float]],
-    simplex_resolution: float = 1e-3,
 ) -> tuple[float, dict]:
     """Universal bound for fixed per-subset sub-state distributions.
 
     Numerator: per-subset relative-entropy costs weighted by subset
     sampling frequencies.  Denominator, taken verbatim: the worst queue
-    growth over all winner-map vertices of every subset region, which for
-    multi-user subsets admits vertices giving a user zero service; the
-    ``lambda_max_dominated`` diagnostic flags when that verbatim reading
-    pins the denominator at the raw arrival maximum.  Returns ``inf``
-    when the arrival vector is dominated by the time-shared regions.
+    growth over all winner-map vertices of every subset region.  A lone
+    member is served at its mean rate under its subset's law (the region
+    is that one point); every member of a larger subset gets no service
+    from some winner map, so the subset reads as one starved user at its
+    largest arrival rate.  The sup over subset frequencies is then the
+    per-user one, solved exactly by ``_inner_sup_users`` on one virtual
+    user per subset.  The ``lambda_max_dominated`` diagnostic flags when
+    that verbatim reading pins the denominator at the raw arrival maximum.
+    Returns ``inf`` when the arrival vector is dominated by the
+    time-shared regions.
     """
     if not subsets.disjoint:
         raise ValueError("subset upper bound requires disjoint observable subsets")
     lam = np.asarray([float(v) for v in lams])
-    n_sub = len(subsets.subsets)
-    if len(phis) != n_sub:
+    if len(phis) != len(subsets.subsets):
         raise ValueError("need one sub-state distribution per subset")
     sub_dists = [dist.substate_marginal(a) for a in subsets.subsets]
     costs = np.array([sanov_rate(sd, ph) for sd, ph in zip(sub_dists, phis)])
@@ -578,84 +525,15 @@ def subset_upper_bound(
     if not _region_lambda_out_of_hull(lam, regions, dist.num_users):
         return math.inf, {"reason": "arrivals inside the induced throughput region"}
 
-    # per-subset data: (lambda_i, min vertex coordinate) pairs
-    data: list[list[tuple[float, float]]] = []
-    for region, alpha in zip(regions, subsets.subsets):
-        data.append(
-            [(float(lam[user]), region.min_coordinate(pos)) for pos, user in enumerate(alpha)]
-        )
-
-    def den_of(c: np.ndarray) -> float:
-        worst = -math.inf
-        for a in range(n_sub):
-            ca = c[a]
-            for li, mi in data[a]:
-                worst = max(worst, li - ca * mi)
-        return worst
-
-    w_floor = 0.0
-    for rows in data:
-        for li, mi in rows:
-            if mi <= _TINY and li > _TINY:
-                w_floor = max(w_floor, li)
-
-    def req(a: int, w: float) -> float:
-        out = 0.0
-        for li, mi in data[a]:
-            if mi > _TINY:
-                out = max(out, (li - w) / mi)
-        return max(0.0, out)
-
-    def req_sum(w: float) -> float:
-        return sum(req(a, w) for a in range(n_sub))
-
-    lam_max = float(np.max(lam))
-    w_lo = max(w_floor, 1e-14)
-    if req_sum(w_lo) > 1.0:
-        lo, hi = w_lo, max(lam_max, w_lo + 1.0)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if req_sum(mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        w_lo = max(hi, w_floor)
-    candidates = {w_lo}
-    candidates.update(float(v) for v in lam if v >= w_lo - 1e-12 and v > 0)
-    j_slack = int(np.argmax(costs))
-
-    best = -math.inf
-    best_c = None
-    for w in sorted(candidates):
-        if w_floor > w + 1e-12:
-            continue
-        c = np.array([req(a, w) for a in range(n_sub)])
-        s = float(c.sum())
-        if s > 1.0 + 1e-9:
-            continue
-        c[j_slack] += max(0.0, 1.0 - s)
-        den = den_of(c)
-        if den <= _TINY:
-            continue
-        val = float(np.dot(c, costs)) / den
-        if val > best:
-            best, best_c = val, c
-    if n_sub <= 3:
-        for c in _simplex_grid(n_sub, simplex_resolution):
-            den = den_of(c)
-            if den <= _TINY:
-                continue
-            val = float(np.dot(c, costs)) / den
-            if val > best:
-                best, best_c = val, c
-    if best_c is None:
-        # only non-positive drifts found; formula value is vacuous
-        return 0.0, {"reason": "no positive-drift sampling frequencies"}
+    lam_v = np.array([lam[list(alpha)].max() for alpha in subsets.subsets])
+    phi_v = np.array([region.min_coordinate(0) if len(alpha) == 1 else 0.0
+                      for region, alpha in zip(regions, subsets.subsets)])
+    value, c = _inner_sup_users(lam_v, phi_v[None, :], costs[None, :])
     multi = any(len(a) >= 2 for a in subsets.subsets)
-    dominated = multi and abs(den_of(best_c) - lam_max) <= 1e-12
-    return best, {
-        "c": tuple(float(v) for v in best_c),
-        "lambda_max_dominated": bool(dominated),
+    den = float(np.max(lam_v - c[0] * phi_v))
+    return float(value[0]), {
+        "c": tuple(float(v) for v in c[0]),
+        "lambda_max_dominated": bool(multi and abs(den - float(np.max(lam))) <= 1e-12),
     }
 
 
@@ -693,7 +571,7 @@ def minimize_subset_upper_bound(
         return out
 
     def objective(z: np.ndarray) -> float:
-        val, _ = subset_upper_bound(lam, dist, subsets, unpack(z), simplex_resolution=1e-2)
+        val, _ = subset_upper_bound(lam, dist, subsets, unpack(z))
         return val
 
     starts = []
@@ -719,7 +597,7 @@ def minimize_subset_upper_bound(
             best_val = float(res.fun)
             best_z = res.x
     phis = unpack(best_z)
-    final, diag = subset_upper_bound(lam, dist, subsets, phis, simplex_resolution=1e-3)
+    final, diag = subset_upper_bound(lam, dist, subsets, phis)
     if math.isfinite(final):
         best_val = final
     return best_val, tuple(tuple(float(v) for v in p) for p in phis), diag
@@ -792,7 +670,7 @@ def verify_matching(
             phi_hat=phi_hat,
             method="singleton_matching",
             resolution={
-                "inner": "exact candidate family + 1e-3 simplex grid",
+                "inner": "exact breakpoint walk",
                 "value_tol": 1e-6,
             },
             diagnostics={
@@ -816,7 +694,7 @@ def verify_matching(
         gap=0.0,
         phi_hat=phis,
         method="subset_upper_bound",
-        resolution={"simplex_grid": 1e-3, "value_tol": 1e-6},
+        resolution={"value_tol": 1e-6},
         diagnostics={
             "note": "predicted exponent equals the minimized subset-structured bound; "
             "validate against simulation",

@@ -174,10 +174,6 @@ class SubStateDistribution:
     def index_of(self, substate: tuple[int, ...]) -> int:
         return self._index[substate]
 
-    def rate_of(self, substate_index: int, member_position: int) -> int:
-        """Service rate of the ``member_position``-th subset user under a sub-state."""
-        return self.substates[substate_index][member_position]
-
     def mean_rates(self) -> tuple[float, ...]:
         """Per-member mean rates (ordered like ``subset``)."""
         means = [0.0] * len(self.subset)

@@ -50,6 +50,8 @@ class ExperimentConfig:
     estimation: dict
     output_dir: str
     record_trace: bool
+    # the validated model, built once by load_config; not a hashed field
+    _model: SystemModel = field(repr=False, compare=False)
 
     def hashed_fields(self) -> dict:
         return {
@@ -74,17 +76,24 @@ class ExperimentConfig:
         return hashlib.sha256(canonical_json(self.hashed_fields()).encode()).hexdigest()
 
     def build_model(self) -> SystemModel:
-        try:
-            dist = _build_channels(self.channels, self.num_users)
-            subsets = SubsetSystem.from_lists(self.subsets, self.num_users)
-            arrivals = ArrivalSpec.from_values(self.arrival_rates)
-            if arrivals.num_users != self.num_users:
-                raise ConfigError(
-                    f"arrival_rates has {arrivals.num_users} entries, expected {self.num_users}"
-                )
-            return SystemModel(dist=dist, subsets=subsets, arrivals=arrivals)
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(str(exc)) from exc
+        """The channel law, subsets and arrivals that ``load_config`` validated."""
+        return self._model
+
+
+def _build_model(
+    channels: Mapping[str, Any], subsets: list[list[int]], arrival_rates: list[str], num_users: int
+) -> SystemModel:
+    try:
+        dist = _build_channels(channels, num_users)
+        system = SubsetSystem.from_lists(subsets, num_users)
+        arrivals = ArrivalSpec.from_values(arrival_rates)
+        if arrivals.num_users != num_users:
+            raise ConfigError(
+                f"arrival_rates has {arrivals.num_users} entries, expected {num_users}"
+            )
+        return SystemModel(dist=dist, subsets=system, arrivals=arrivals)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_channels(spec: Mapping[str, Any], num_users: int) -> JointChannelDistribution:
@@ -196,11 +205,13 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ExperimentConfig:
     if estimation["method"] not in ("auto", "direct", "importance"):
         raise ConfigError("estimation.method must be auto, direct, or importance")
 
-    cfg = ExperimentConfig(
+    channels = dict(channels) if isinstance(channels, Mapping) else channels
+    subsets = [[int(i) for i in s] for s in subsets]
+    return ExperimentConfig(
         num_users=num_users,
         arrival_rates=arrival_rates,
-        channels=dict(channels) if isinstance(channels, Mapping) else channels,
-        subsets=[[int(i) for i in s] for s in subsets],
+        channels=channels,
+        subsets=subsets,
         policy=policy,
         horizon=horizon,
         levels=levels,
@@ -213,6 +224,6 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ExperimentConfig:
         estimation=estimation,
         output_dir=str(raw.get("output_dir", "out")),
         record_trace=bool(raw.get("record_trace", False)),
+        # validate everything up front
+        _model=_build_model(channels, subsets, arrival_rates, num_users),
     )
-    cfg.build_model()  # validate everything up front
-    return cfg

@@ -19,7 +19,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 
 from .channels import JointChannelDistribution, SubsetSystem, SubStateDistribution
 
@@ -74,8 +74,8 @@ class ScalarRateFunction:
     def tilt_parameter(self, x: float) -> float:
         """Solve L'(eta) = x for x strictly inside the support hull.
 
-        Bisection on a bracket grown geometrically from [-1, 1]; L' is
-        strictly increasing for non-degenerate marginals.
+        scipy's Brent root finder on a bracket grown geometrically from
+        [-1, 1]; L' is strictly increasing for non-degenerate marginals.
         """
         if self.degenerate:
             raise ValueError("tilt undefined for a point-mass marginal")
@@ -83,23 +83,12 @@ class ScalarRateFunction:
             raise ValueError(f"target mean {x} not strictly inside "
                              f"({self.r_min}, {self.r_max})")
         lo, hi = -1.0, 1.0
-        for _ in range(200):
-            if self.log_mgf_deriv(lo) <= x:
-                break
+        while self.log_mgf_deriv(lo) > x:
             lo *= 2.0
-        for _ in range(200):
-            if self.log_mgf_deriv(hi) >= x:
-                break
+        while self.log_mgf_deriv(hi) < x:
             hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.log_mgf_deriv(mid) < x:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, abs(mid)):
-                break
-        return 0.5 * (lo + hi)
+        return brentq(lambda eta: self.log_mgf_deriv(eta) - x, lo, hi,
+                      xtol=1e-15, rtol=4 * np.finfo(float).eps)
 
     def rate(self, x: float) -> float:
         """Cramér rate L*(x) = sup_eta (eta x - L(eta)).
@@ -119,9 +108,6 @@ class ScalarRateFunction:
         eta = self.tilt_parameter(x)
         return max(0.0, eta * x - self.log_mgf(eta))
 
-    def as_marginal(self) -> dict[float, float]:
-        return {float(x): float(p) for x, p in zip(self.values, self.probs)}
-
 
 @dataclass(frozen=True)
 class TiltedDistribution:
@@ -139,9 +125,6 @@ class TiltedDistribution:
     tilt: float
     target_mean: float
     rate_at_target: float
-
-    def as_marginal(self) -> dict[float, float]:
-        return {x: p for x, p in zip(self.values, self.probs)}
 
     def mean(self) -> float:
         return float(sum(x * p for x, p in zip(self.values, self.probs)))

@@ -215,6 +215,47 @@ class _UniformStream:
         return self._buf[pos]
 
 
+class _SubstateDraws(_UniformStream):
+    """Sub-state indices by inverse CDF on the block-buffered uniforms.
+
+    ``cums[a]`` is subset ``a``'s cumulative table, ending at exactly 1.0,
+    so a uniform in [0, 1) always lands on a sub-state.  The buffer step is
+    inlined: one Python call per slot.
+    """
+
+    __slots__ = ("_cums",)
+
+    def __init__(self, rng: np.random.Generator, cums: list[list[float]]):
+        super().__init__(rng)
+        self._cums = cums
+
+    def draw(self, a: int) -> int:
+        pos = self._pos
+        if pos == _RNG_BLOCK:
+            self._buf = self._rng.random(_RNG_BLOCK)
+            pos = 0
+        self._pos = pos + 1
+        return bisect_right(self._cums[a], self._buf[pos])
+
+
+class _RecordedDraws:
+    """Sub-state indices read back from a recorded trace, in order per subset."""
+
+    __slots__ = ("_lists", "_cursors")
+
+    def __init__(self, trace: SampledTrace):
+        self._lists = trace.per_subset
+        self._cursors = [0] * len(trace.per_subset)
+
+    def draw(self, a: int) -> int:
+        j = self._cursors[a]
+        if j >= len(self._lists[a]):
+            raise ValueError(f"trace exhausted for subset {a} after {j} draws: "
+                             "policy disagrees with the recording")
+        self._cursors[a] = j + 1
+        return self._lists[a][j]
+
+
 def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic stream: PCG64 keyed on (seed, *stream tags).
 
@@ -277,21 +318,21 @@ class Simulator:
         self,
         state: SystemState,
         policy: Policy,
-        stream: _UniformStream,
-        cums: list[list[float]],
+        draws: _SubstateDraws | _RecordedDraws,
     ) -> tuple[int, int, int, int]:
-        """Advance one slot; returns (subset, substate, user, served)."""
+        """Advance one slot; returns (subset, substate, user, served).
+
+        ``draws.draw(a)`` gives the sub-state index of subset ``a``: sampled
+        (``_SubstateDraws``) or read back from a recording (``_RecordedDraws``).
+        """
         k = state.k
         q = state.q
         a = policy.choose_subset(q, k)
         if not 0 <= a < len(self.members):
             raise PolicyViolationError(f"policy chose subset id {a} outside the system")
         # channel state is drawn only now: choose_subset cannot have seen it
-        rid = bisect_right(cums[a], stream.next())
-        states_a = self.sub_states[a]
-        if rid >= len(states_a):
-            rid = len(states_a) - 1
-        rates = states_a[rid]
+        rid = draws.draw(a)
+        rates = self.sub_states[a][rid]
         i = policy.choose_user(a, rates, q)
         pos = self.member_pos[a].get(i)
         if pos is None:
@@ -322,14 +363,12 @@ class Simulator:
         self,
         state: SystemState,
         policy: Policy,
-        stream: _UniformStream | np.random.Generator,
+        rng: np.random.Generator,
         trace: SampledTrace | None = None,
     ) -> SystemState:
         """One slot of the dynamics (mutates and returns ``state``)."""
-        if isinstance(stream, np.random.Generator):
-            stream = _UniformStream(stream)
         k = state.k
-        a, rid, i, _ = self._step_core(state, policy, stream, self.sub_cum)
+        a, rid, i, _ = self._step_core(state, policy, _SubstateDraws(rng, self.sub_cum))
         if trace is not None:
             trace.record(k, a, rid, i)
         return state
@@ -367,7 +406,7 @@ class Simulator:
         stride = sample_stride if sample_stride else max(1, math.ceil(horizon / 1000))
         burn_in = int(burn_in_frac * horizon)
         state = self.initial_state(q0)
-        stream = _UniformStream(rng)
+        draws = _SubstateDraws(rng, self.sub_cum)
         trace = self.new_trace() if record_trace else None
         path = np.zeros((horizon + 1, self.n), dtype=np.int64) if record_path else None
         if path is not None:
@@ -381,10 +420,9 @@ class Simulator:
         while pending and peak >= pending[0]:
             first_hit[pending.pop(0)] = 0
         step_core = self._step_core
-        cums = self.sub_cum
         q = state.q
         for k in range(horizon):
-            a, rid, i, _ = step_core(state, policy, stream, cums)
+            a, rid, i, _ = step_core(state, policy, draws)
             if trace is not None:
                 trace.record(k, a, rid, i)
             qmax = max(q)
@@ -480,14 +518,14 @@ class Simulator:
         else:
             cums, logw = self.tilted_tables(proposals)
         state = self.initial_state()
-        stream = _UniformStream(rng)
+        draws = _SubstateDraws(rng, cums)
         step_core = self._step_core
         q = state.q
         empty_ok_after = self._first_arrival_slot
         log_weight = 0.0
         limit = horizon if horizon is not None else max_slots
         for k in range(limit):
-            a, rid, _, _ = step_core(state, policy, stream, cums)
+            a, rid, _, _ = step_core(state, policy, draws)
             if logw is not None:
                 log_weight += logw[a][rid]
             if max(q) >= level:
@@ -511,37 +549,12 @@ class Simulator:
         """
         horizon = trace.total_slots()
         state = self.initial_state(q0)
-        cursors = [0] * len(self.members)
+        draws = _RecordedDraws(trace)
         path = np.zeros((horizon + 1, self.n), dtype=np.int64)
         path[0] = state.q
-        q = state.q
-        f = state.f
         for k in range(horizon):
-            a = policy.choose_subset(q, k)
-            if not 0 <= a < len(self.members):
-                raise PolicyViolationError(f"policy chose subset id {a} outside the system")
-            if cursors[a] >= len(trace.per_subset[a]):
-                raise ValueError(f"trace exhausted for subset {a} at slot {k}: "
-                                 "policy disagrees with the recording")
-            rid = trace.per_subset[a][cursors[a]]
-            cursors[a] += 1
-            rates = self.sub_states[a][rid]
-            i = policy.choose_user(a, rates, q)
-            pos = self.member_pos[a].get(i)
-            if pos is None:
-                raise PolicyViolationError(f"policy scheduled user {i} outside subset {self.members[a]}")
-            arr = self._arrivals_at(k)
-            for u in range(self.n):
-                if arr[u]:
-                    q[u] += arr[u]
-                    f[u] += arr[u]
-            r = rates[pos]
-            avail = q[i]
-            served = avail if avail < r else r
-            q[i] = avail - served
-            state.fhat[i] += served
-            state.k = k + 1
-            path[k + 1] = q
+            self._step_core(state, policy, draws)
+            path[k + 1] = state.q
         return path
 
 

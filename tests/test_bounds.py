@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from subsetsched import (
     JointChannelDistribution,
@@ -187,8 +189,8 @@ class TestUpperBoundEval:
         assert upper_bound_eval([0.4, 0.4], [2.5, 0.5], [BINARY, BINARY]) == math.inf
 
     def test_grid_vs_candidates(self):
-        # the candidate family alone must already attain the simplex-grid sup,
-        # and scoring a batch of twists equals scoring them one row at a time
+        # scoring a batch of twists equals scoring each one through
+        # upper_bound_eval and as a one-row batch
         from subsetsched.bounds import _inner_sup_users
 
         rng = np.random.Generator(np.random.PCG64(41))
@@ -200,10 +202,10 @@ class TestUpperBoundEval:
             if len(phis) == 0:
                 continue
             lstar = np.vectorize(rf.rate)(phis)
-            batch = _inner_sup_users(lam, phis, lstar)
+            batch, _ = _inner_sup_users(lam, phis, lstar)
             for row, phi in enumerate(phis):
-                full = upper_bound_eval(lam, phi, [BINARY, BINARY], simplex_resolution=1e-3)
-                single = _inner_sup_users(lam, phis[row : row + 1], lstar[row : row + 1])[0]
+                full = upper_bound_eval(lam, phi, [BINARY, BINARY])
+                single = _inner_sup_users(lam, phis[row : row + 1], lstar[row : row + 1])[0][0]
                 assert batch[row] == pytest.approx(full, rel=1e-6, abs=1e-9)
                 assert batch[row] == pytest.approx(single, rel=1e-12)
 
@@ -214,6 +216,65 @@ class TestUpperBoundEval:
         v1 = upper_bound_eval(lam, phi, margs)
         v2 = upper_bound_eval(lam[::-1], phi[::-1], margs[::-1])
         assert v1 == pytest.approx(v2, rel=1e-9)
+
+
+def random_inner_sup_instance(rng, n):
+    """Arrivals outside the twisted hull, some users starved or without arrivals."""
+    while True:
+        lam = rng.uniform(0.05, 1.0, size=n) * (rng.random(n) > 0.15)
+        phi = rng.uniform(0.05, 1.5, size=n) * (rng.random(n) > 0.2)
+        lstar = rng.uniform(0.0, 3.0, size=n)
+        starved = ((phi == 0) & (lam > 0)).any()
+        load = sum(l / p for l, p in zip(lam, phi) if l > 0 and p > 0)
+        if lam.max() > 0 and (starved or load > 1.02):
+            return lam, phi, lstar
+
+
+def charnes_cooper_sup(lam, phi, lstar):
+    """The inner sup as the Charnes-Cooper LP over (y, t) = (c / D(c), 1 / D(c)):
+    max lstar.y  s.t.  lambda_i t - phi_i y_i <= 1,  sum y = t,  y, t >= 0."""
+    n = len(lam)
+    a_ub = np.hstack([-np.diag(phi), lam[:, None]])
+    a_eq = np.concatenate([np.ones(n), [-1.0]])[None, :]
+    res = linprog(-np.concatenate([lstar, [0.0]]), A_ub=a_ub, b_ub=np.ones(n),
+                  A_eq=a_eq, b_eq=[0.0], bounds=[(0.0, None)] * (n + 1), method="highs")
+    assert res.success
+    return -res.fun
+
+
+def simplex_grid(n, steps):
+    """Every point of the c-simplex with coordinates in multiples of 1 / steps."""
+    return np.array([[k / steps for k in ks] + [1.0 - sum(ks) / steps]
+                     for ks in itertools.product(range(steps + 1), repeat=n - 1)
+                     if sum(ks) <= steps])
+
+
+class TestInnerSup:
+    def test_matches_charnes_cooper_lp(self):
+        from subsetsched.bounds import _inner_sup_users
+
+        rng = np.random.Generator(np.random.PCG64(53))
+        for n in range(1, 6):
+            for _ in range(40):
+                lam, phi, lstar = random_inner_sup_instance(rng, n)
+                value, c = _inner_sup_users(lam, phi[None, :], lstar[None, :])
+                assert value[0] == pytest.approx(charnes_cooper_sup(lam, phi, lstar), rel=1e-9)
+                # the returned frequencies attain the value
+                assert c[0].min() >= 0 and c[0].sum() == pytest.approx(1.0, abs=1e-9)
+                den = np.max(lam - c[0] * phi)
+                assert c[0] @ lstar / den == pytest.approx(value[0], rel=1e-12)
+
+    def test_no_grid_point_reads_above(self):
+        from subsetsched.bounds import _inner_sup_users
+
+        rng = np.random.Generator(np.random.PCG64(59))
+        for n in (1, 2, 3):
+            grid = simplex_grid(n, 100)
+            for _ in range(30):
+                lam, phi, lstar = random_inner_sup_instance(rng, n)
+                value = _inner_sup_users(lam, phi[None, :], lstar[None, :])[0][0]
+                den = np.max(lam - grid * phi, axis=1)
+                assert np.max(grid @ lstar / den) <= value * (1 + 1e-12)
 
 
 class TestUpperBoundMin:
@@ -292,6 +353,37 @@ class TestSubsetUpperBound:
             0.4 - min(v[i] for v in region.vertices) for i in range(2)
         )
         assert val == pytest.approx(cost / den, rel=1e-9)
+
+    def test_pair_plus_singleton_against_a_frequency_scan(self):
+        # the verbatim denominator max_i (lambda_i - c_a(i) * min vertex
+        # coordinate of user i), scanned densely over (c_0, 1 - c_0)
+        from subsetsched import region_vertices, sanov_rate
+
+        dist = JointChannelDistribution.product_form([BINARY, BINARY, {0: 0.3, 1: 0.3, 3: 0.4}])
+        system = SubsetSystem.from_lists([[0, 1], [2]], 3)
+        lam = np.array([0.3, 0.25, 0.35])
+        phis = [[0.7, 0.1, 0.1, 0.1], [0.6, 0.3, 0.1]]
+        val, diag = subset_upper_bound(lam, dist, system, phis)
+        subs = [dist.substate_marginal(a) for a in system.subsets]
+        costs = np.array([sanov_rate(sd, ph) for sd, ph in zip(subs, phis)])
+        low = np.zeros(3)
+        for sd, ph, alpha in zip(subs, phis, system.subsets):
+            verts = region_vertices(sd, ph).vertices
+            for pos, user in enumerate(alpha):
+                low[user] = min(v[pos] for v in verts)
+        owner = np.array([0, 0, 1])
+
+        def formula(c):
+            c = np.atleast_2d(c)
+            return c @ costs / np.max(lam - c[:, owner] * low, axis=1)
+
+        c0 = np.linspace(0.0, 1.0, 200_001)
+        scan = formula(np.stack([c0, 1.0 - c0], axis=1))
+        assert 0 < val < math.inf
+        assert scan.max() <= val * (1 + 1e-12)
+        assert scan.max() == pytest.approx(val, rel=1e-6)
+        assert formula(np.array(diag["c"]))[0] == pytest.approx(val, rel=1e-12)
+        assert not diag["lambda_max_dominated"]  # the singleton subset serves user 2
 
     def test_natural_law_stable_is_vacuous(self):
         naturals = [list(self.dist.substate_marginal(a).probs) for a in self.singles.subsets]
@@ -390,14 +482,12 @@ class TestMatchingCertificate:
 
     def test_no_grid_twist_beats_jstar(self):
         # independent of the dual: no twist on a 0.05 product grid over
-        # [r_min, mean] takes the universal bound below J*; the coarse inner
-        # simplex grid is a subset of the default one, so each value can only
-        # read lower and the check only stricter
+        # [r_min, mean] takes the universal bound below J*
         for lam, t1, t2 in criterion_3_battery():
             rfs = [MemoRate(t1), MemoRate(t2)]
             jstar = jstar_singleton(lam, rfs).value
             axes = [np.arange(rf.r_min, rf.mean + 0.025, 0.05) for rf in rfs]
-            best = min(upper_bound_eval(lam, [float(a), float(b)], rfs, simplex_resolution=0.05)
+            best = min(upper_bound_eval(lam, [float(a), float(b)], rfs)
                        for a in axes[0] for b in axes[1])
             assert best >= jstar * (1 - 1e-9), (lam, best, jstar)
 
@@ -419,6 +509,28 @@ class TestOverflowTimeWindow:
         t_min, t_max = overflow_time_window([0.4, 0.4], [1.0, 1.0])
         assert t_min == pytest.approx(2.5)
         assert t_max == math.inf
+
+
+    def test_matches_the_drain_lp(self):
+        # min t s.t. lambda_i - mu_i <= t, sum_i mu_i / phi_i <= 1, mu >= 0,
+        # mu_i = 0 where phi_i = 0: the slowest escape from the twisted hull
+        from subsetsched import overflow_time_window
+
+        rng = np.random.Generator(np.random.PCG64(61))
+        for n in range(1, 6):
+            for _ in range(30):
+                lam, phi, _ = random_inner_sup_instance(rng, n)
+                cost = np.concatenate([[1.0], np.zeros(n)])
+                a_ub = np.block([[-np.ones((n, 1)), -np.eye(n)],
+                                 [np.zeros((1, 1)), np.where(phi > 0, 1.0 / np.maximum(phi, 1e-300),
+                                                             0.0)[None, :]]])
+                b_ub = np.concatenate([-lam, [1.0]])
+                bounds = [(None, None)] + [(0.0, None if p > 0 else 0.0) for p in phi]
+                res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+                assert res.success and res.fun > 0
+                t_min, t_max = overflow_time_window(lam, phi)
+                assert t_min == pytest.approx(1 / lam.max())
+                assert t_max == pytest.approx(1 / res.fun, rel=1e-9)
 
 
 def test_jstar_convex_order_diagnostic(capsys):

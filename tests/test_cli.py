@@ -214,3 +214,10 @@ def test_bounds_general_disjoint_subsets(tmp_path):
     assert rep["method"] == "subset_upper_bound"
     assert rep["jstar"] > 0
     assert rep["diagnostics"]["lambda_max_dominated"] is True
+
+
+def test_selftest_passes(capsys):
+    # the built-in oracle battery behind `subsetsched selftest`
+    assert main(["selftest"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out

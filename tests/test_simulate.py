@@ -201,6 +201,15 @@ class TestTraceReplay:
         replayed = sim.replay(res.trace, policy_cls(reference_model.subsets))
         assert np.array_equal(replayed, res.path)
 
+    def test_replay_of_a_disagreeing_policy_is_refused(self, reference_model):
+        # a policy that picks subset 0 more often than the recording did
+        # runs past that subset's list
+        sim = Simulator(reference_model)
+        res = sim.run(MaxQueue(reference_model.subsets), 200, rng_from_seed(6, 1, 0),
+                      record_trace=True)
+        with pytest.raises(ValueError, match="trace exhausted for subset 0"):
+            sim.replay(res.trace, FixedPolicy(reference_model.subsets, subset_id=0))
+
     def test_trace_lengths_partition_slots(self, reference_model):
         sim = Simulator(reference_model)
         res = sim.run(MaxQueue(reference_model.subsets), 1234, rng_from_seed(7, 1, 0),
