@@ -1,18 +1,20 @@
-"""Finite joint channel-state distributions and observable-subset systems.
+"""Finite channel-state laws and observable-subset systems.
 
 A channel state is an N-tuple of integer instantaneous service rates
-(packets/slot), drawn iid across time slots from a finite-support joint
-distribution.  Rates may be correlated across users; product form is a
-convenience constructor, not a requirement.  A scheduler can observe, per
-slot, the sub-state of exactly one subset from a fixed collection of
-observable subsets.
+(packets/slot), drawn iid across time slots.  Its law is a tuple of
+independent blocks, each a finite joint law over its own users (rates may
+be correlated within a block): an explicit joint table is one block, a
+product-form law one block per user, so no 2^N table is built for
+independent users.  A scheduler can observe, per slot, the sub-state of
+exactly one subset from a fixed collection of observable subsets.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -34,32 +36,27 @@ def _validate_probs(probs: Sequence[float], what: str) -> None:
 
 @dataclass(frozen=True)
 class JointChannelDistribution:
-    """Joint law of the instantaneous service-rate vector for one slot.
+    """Law of the instantaneous service-rate vector for one slot.
 
-    ``support`` holds distinct N-tuples of nonnegative integer rates;
-    ``probs`` the matching probabilities (sum 1 within ``PROB_TOL``).
-    Immutable after construction and safe to share across threads.
+    ``blocks`` are independent sub-state laws whose users, joined in block
+    order, are 0..num_users-1.  ``from_table`` gives one block over all
+    users, ``product_form`` one block per user.  ``support`` and ``probs``
+    are the explicit joint table: the block itself for one block, else
+    built from all blocks (2^N states for N binary users), so the program
+    never reads them.  Immutable and safe to share across threads.
     """
 
-    support: tuple[tuple[int, ...], ...]
-    probs: tuple[float, ...]
+    blocks: tuple[SubStateDistribution, ...]
     num_users: int
 
     def __post_init__(self) -> None:
-        if not self.support:
-            raise ValueError("channel distribution needs a nonempty support")
-        if len(self.support) != len(self.probs):
-            raise ValueError("support and probs length mismatch")
-        _validate_probs(self.probs, "joint channel distribution")
-        seen = set()
-        for state in self.support:
-            if len(state) != self.num_users:
-                raise ValueError(f"state {state} is not a {self.num_users}-tuple")
-            if any((not isinstance(r, int)) or r < 0 for r in state):
-                raise ValueError(f"state {state}: rates must be nonnegative integers")
-            if state in seen:
-                raise ValueError(f"duplicate support state {state}")
-            seen.add(state)
+        users = [i for block in self.blocks for i in block.subset]
+        if self.num_users < 1 or users != list(range(self.num_users)):
+            raise ValueError(f"blocks must partition users 0..{self.num_users - 1} in order")
+        for block in self.blocks:
+            for state in block.substates:
+                if any((not isinstance(r, int)) or r < 0 for r in state):
+                    raise ValueError(f"state {state}: rates must be nonnegative integers")
 
     @classmethod
     def from_table(
@@ -68,83 +65,85 @@ class JointChannelDistribution:
         sup = tuple(tuple(int(r) for r in state) for state in support)
         if not sup:
             raise ValueError("empty support")
-        return cls(support=sup, probs=tuple(float(p) for p in probs), num_users=len(sup[0]))
+        block = SubStateDistribution(tuple(range(len(sup[0]))), sup, tuple(float(p) for p in probs))
+        return cls(blocks=(block,), num_users=len(sup[0]))
 
     @classmethod
     def product_form(cls, per_user: Sequence[Mapping[int, float]]) -> "JointChannelDistribution":
         """Independent users, one marginal rate table per user."""
         if not per_user:
             raise ValueError("need at least one user table")
-        tables = []
+        blocks = []
         for i, table in enumerate(per_user):
-            if not table:
-                raise ValueError(f"user {i}: empty rate table")
-            _validate_probs(list(table.values()), f"user {i} rate table")
-            tables.append(sorted((int(r), float(p)) for r, p in table.items()))
-        support = []
-        probs = []
-        for combo in product(*tables):
-            support.append(tuple(r for r, _ in combo))
-            p = 1.0
-            for _, pi in combo:
-                p *= pi
-            probs.append(p)
-        return cls(support=tuple(support), probs=tuple(probs), num_users=len(per_user))
+            items = sorted((int(r), float(p)) for r, p in table.items())
+            substates, probs = tuple((r,) for r, _ in items), tuple(p for _, p in items)
+            blocks.append(SubStateDistribution((i,), substates, probs))
+        return cls(blocks=tuple(blocks), num_users=len(per_user))
 
-    @cached_property
-    def _cumprobs(self) -> np.ndarray:
-        cum = np.cumsum(np.asarray(self.probs, dtype=float))
-        cum[-1] = 1.0
-        return cum
+    def _table(self) -> SubStateDistribution:
+        if len(self.blocks) == 1:
+            return self.blocks[0]
+        return self.substate_marginal(range(self.num_users))
+
+    @property
+    def support(self) -> tuple[tuple[int, ...], ...]:
+        return self._table().substates
+
+    @property
+    def probs(self) -> tuple[float, ...]:
+        return self._table().probs
 
     @property
     def max_rate(self) -> int:
-        return max(max(state) for state in self.support)
+        return max(max(state) for block in self.blocks for state in block.substates)
 
     def user_marginal(self, i: int) -> dict[int, float]:
         """Marginal law of user ``i``'s rate; equal rate values merged."""
-        if not 0 <= i < self.num_users:
-            raise IndexError(f"user index {i} out of range [0, {self.num_users})")
-        merged: dict[int, float] = {}
-        for state, p in zip(self.support, self.probs):
-            merged[state[i]] = merged.get(state[i], 0.0) + p
-        return dict(sorted(merged.items()))
+        sub = self.substate_marginal([i])
+        return {r: p for (r,), p in zip(sub.substates, sub.probs)}
 
     def substate_marginal(self, alpha: Iterable[int]) -> "SubStateDistribution":
-        """Restriction of the joint law to the coordinates in ``alpha``.
+        """Law of the rates of the users in ``alpha``.
 
-        States with identical restriction are merged.  Sub-states are
-        ordered lexicographically, fixing the index map used everywhere
-        downstream (empirical-distribution vectors, trace records).
+        Each block that meets ``alpha`` is restricted to it (states with
+        identical restriction merged), and the independent restrictions
+        are multiplied.  Sub-states are ordered lexicographically, fixing
+        the index map used everywhere downstream (empirical-distribution
+        vectors, trace records).
         """
         members = tuple(sorted(set(int(i) for i in alpha)))
         if not members:
             raise ValueError("empty subset")
-        for i in members:
-            if not 0 <= i < self.num_users:
-                raise IndexError(f"user index {i} out of range [0, {self.num_users})")
-        merged: dict[tuple[int, ...], float] = {}
-        for state, p in zip(self.support, self.probs):
-            key = tuple(state[i] for i in members)
-            merged[key] = merged.get(key, 0.0) + p
+        if members[0] < 0 or members[-1] >= self.num_users:
+            raise IndexError(f"user index out of range [0, {self.num_users}) in {members}")
+        merged: dict[tuple[int, ...], float] = {(): 1.0}
+        for block in self.blocks:
+            pos = [k for k, i in enumerate(block.subset) if i in members]
+            if not pos:
+                continue
+            part: dict[tuple[int, ...], float] = {}
+            for state, p in zip(block.substates, block.probs):
+                key = tuple(state[k] for k in pos)
+                part[key] = part.get(key, 0.0) + p
+            merged = {r + s: p * q for r, p in merged.items() for s, q in part.items()}
         substates = tuple(sorted(merged))
-        return SubStateDistribution(
-            subset=members,
-            substates=substates,
-            probs=tuple(merged[r] for r in substates),
-        )
+        return SubStateDistribution(members, substates, tuple(merged[r] for r in substates))
 
     def mean_rates(self) -> tuple[float, ...]:
         means = [0.0] * self.num_users
-        for state, p in zip(self.support, self.probs):
-            for i, r in enumerate(state):
-                means[i] += r * p
+        for block in self.blocks:
+            for i, m in zip(block.subset, block.mean_rates()):
+                means[i] = m
         return tuple(means)
 
     def sample_state(self, rng: np.random.Generator) -> tuple[int, ...]:
-        """One iid draw of the joint state from an explicitly seeded stream."""
-        idx = int(np.searchsorted(self._cumprobs, rng.random(), side="right"))
-        return self.support[min(idx, len(self.support) - 1)]
+        """One iid draw from a seeded stream: one uniform per block, by inverse CDF."""
+        state = [0] * self.num_users
+        for block in self.blocks:
+            j = bisect_right(list(accumulate(block.probs)), rng.random())
+            for i, r in zip(block.subset, block.substates[min(j, len(block.probs) - 1)]):
+                state[i] = r
+        return tuple(state)
 
 
 @dataclass(frozen=True)

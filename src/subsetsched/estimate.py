@@ -228,13 +228,12 @@ def _importance_worker(args: tuple) -> tuple[int, np.ndarray, np.ndarray, int, i
     sim = Simulator(model)
     rng = rng_from_seed(seed, _STREAM_IS, chunk_idx)
     policy = make_policy(policy_spec, model, rng_from_seed(seed, _STREAM_IS_POLICY, chunk_idx))
+    tables = sim.tilted_tables(proposals)
     log_weights = np.full(chunk_size, -np.inf)
     hits = np.zeros(chunk_size, dtype=bool)
     slots = truncated = 0
     for j in range(chunk_size):
-        hit, logw, used, cut = sim.run_hitting(
-            policy, level, rng, proposals=proposals, horizon=horizon
-        )
+        hit, logw, used, cut = sim.run_hitting(policy, level, rng, tables=tables, horizon=horizon)
         slots += used
         truncated += cut
         if hit:

@@ -80,28 +80,20 @@ class MaxQueue(Policy):
     def __init__(self, subsets: SubsetSystem):
         if not subsets.all_singletons:
             raise ValueError("max_queue requires all-singleton observable subsets")
-        # (user, subset id) sorted by user id so ties resolve to the lowest queue index
-        self._by_user = sorted((a[0], j) for j, a in enumerate(subsets.subsets))
+        self._user_of = [a[0] for a in subsets.subsets]
+        # ascending users, so max() (first maximum wins) ties to the lowest queue index
+        self._users = sorted(set(self._user_of))
+        # a user listed twice maps to its lowest subset id
+        self._subset_of = {u: j for j, u in reversed(list(enumerate(self._user_of)))}
 
     def choose(self, q: Sequence[int]) -> int:
-        best_user, _ = self._by_user[0]
-        best_q = q[best_user]
-        for user, _ in self._by_user[1:]:
-            if q[user] > best_q:
-                best_q = q[user]
-                best_user = user
-        return best_user
+        return max(self._users, key=q.__getitem__)
 
     def choose_subset(self, q: Sequence[int], k: int) -> int:
-        target = self.choose(q)
-        for user, subset_id in self._by_user:
-            if user == target:
-                return subset_id
-        raise AssertionError("unreachable")
+        return self._subset_of[self.choose(q)]
 
     def choose_user(self, subset_id: int, rates: Sequence[int], q: Sequence[int]) -> int:
-        user, _ = next(p for p in self._by_user if p[1] == subset_id)
-        return user
+        return self._user_of[subset_id]
 
 
 class UniformRandomSubset(Policy):

@@ -497,7 +497,7 @@ class Simulator:
         policy: Policy,
         level: int,
         rng: np.random.Generator,
-        proposals: Sequence[Sequence[float] | None] | None = None,
+        tables: tuple[list[list[float]], list[np.ndarray]] | None = None,
         horizon: int | None = None,
         max_slots: int = 10**7,
     ) -> tuple[bool, float, int, bool]:
@@ -507,16 +507,15 @@ class Simulator:
         ends at the first all-empty slot once arrivals have begun (the
         deterministic empty stretch before the first arrival is skipped,
         otherwise the stopping state could be unreachable), or ``horizon``
-        slots elapse when given.  Returns (hit, log_weight, slots,
+        slots elapse when given.  ``tables`` is ``tilted_tables``' output
+        for the proposal laws (build it once per batch of attempts), or
+        ``None`` for the natural law.  Returns (hit, log_weight, slots,
         truncated) with the log importance weight of the drawn sub-states
         under the natural law relative to the proposals, accumulated up to
         the stopping slot; ``truncated`` marks an attempt without a
         ``horizon`` that ``max_slots`` cut off before it hit or ended.
         """
-        if proposals is None:
-            cums, logw = self.sub_cum, None
-        else:
-            cums, logw = self.tilted_tables(proposals)
+        cums, logw = (self.sub_cum, None) if tables is None else tables
         state = self.initial_state()
         draws = _SubstateDraws(rng, cums)
         step_core = self._step_core

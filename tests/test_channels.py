@@ -1,9 +1,14 @@
 
+import math
+import time
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsetsched import JointChannelDistribution, SubsetSystem
+from subsetsched import JointChannelDistribution, SubsetSystem, SubStateDistribution
+from subsetsched.config import load_config
 from subsetsched.simulate import rng_from_seed
 
 FOUR_STATE = JointChannelDistribution.from_table(
@@ -40,6 +45,13 @@ class TestValidation:
     def test_empty_subset(self):
         with pytest.raises(ValueError):
             FOUR_STATE.substate_marginal([])
+
+    def test_blocks_must_partition_users_in_order(self):
+        one = SubStateDistribution((1,), ((0,),), (1.0,))
+        zero = SubStateDistribution((0,), ((2,),), (1.0,))
+        for blocks in [(one,), (zero, zero), (one, zero)]:
+            with pytest.raises(ValueError, match="partition"):
+                JointChannelDistribution(blocks=blocks, num_users=2)
 
 
 class TestUserMarginal:
@@ -104,6 +116,15 @@ class TestSampling:
         n = 100_000
         hits = sum(FOUR_STATE.sample_state(rng)[0] == 0 for _ in range(n))
         assert abs(hits / n - marg[0]) < 0.01
+
+    def test_product_law_draws_each_block(self):
+        # one uniform per user: user 1's frequencies match its own table
+        dist = JointChannelDistribution.product_form([{0: 0.5, 2: 0.5}, {1: 0.2, 3: 0.8}])
+        rng = rng_from_seed(5)
+        n = 20_000
+        draws = [dist.sample_state(rng) for _ in range(n)]
+        assert abs(sum(s[1] == 1 for s in draws) / n - 0.2) < 0.01
+        assert abs(sum(s[0] == 0 for s in draws) / n - 0.5) < 0.015
 
     def test_identical_seeds_identical_draws(self):
         rng1, rng2 = rng_from_seed(9, 1), rng_from_seed(9, 1)
@@ -178,3 +199,55 @@ def test_product_form_reconstruction():
     for r, p in zip(joint_ab.substates, joint_ab.probs):
         assert p == pytest.approx(product[r])
     assert set(product) == set(joint_ab.substates)
+
+
+THREE_TABLES = [{0: 0.3, 1: 0.7}, {0: 0.1, 3: 0.9}, {1: 0.2, 2: 0.5, 4: 0.3}]
+
+
+def test_product_user_marginals_are_the_input_tables():
+    dist = JointChannelDistribution.product_form(THREE_TABLES)
+    for i, table in enumerate(THREE_TABLES):
+        assert dist.user_marginal(i) == table  # exact, not a sum of products
+
+
+def test_product_form_agrees_with_its_explicit_table():
+    # oracle: the joint table of independent users, written out state by state
+    combos = list(product(*(sorted(t.items()) for t in THREE_TABLES)))
+    explicit = JointChannelDistribution.from_table(
+        [tuple(r for r, _ in c) for c in combos], [math.prod(p for _, p in c) for c in combos]
+    )
+    dist = JointChannelDistribution.product_form(THREE_TABLES)
+    assert dist.support == explicit.support
+    assert dist.probs == pytest.approx(explicit.probs, abs=1e-15)
+    assert dist.mean_rates() == pytest.approx(explicit.mean_rates(), abs=1e-15)
+    assert dist.max_rate == explicit.max_rate == 4
+    for size in (1, 2, 3):
+        for alpha in combinations(range(3), size):
+            ours, theirs = dist.substate_marginal(alpha), explicit.substate_marginal(alpha)
+            assert ours.subset == theirs.subset == alpha
+            assert ours.substates == theirs.substates
+            assert ours.probs == pytest.approx(theirs.probs, abs=1e-15)
+
+
+def test_forty_user_product_law_keeps_per_user_tables():
+    # 2^40 joint states could not be built; every query reads the blocks
+    tables = [{"0": 0.5, "2": 0.5}] * 39 + [{"1": 0.25, "3": 0.75}]
+    start = time.perf_counter()
+    cfg = load_config({
+        "num_users": 40,
+        "arrival_rates": ["1/100"] * 40,
+        "channels": {"kind": "product", "per_user": tables},
+        "subsets": [[2 * i, 2 * i + 1] for i in range(20)],
+        "policy": {"name": "max_exp"},
+        "horizon": 100,
+        "levels": [2],
+    })
+    dist = cfg.build_model().dist
+    assert len(dist.blocks) == 40
+    sub = dist.substate_marginal([38, 39])
+    assert sub.substates == ((0, 1), (0, 3), (2, 1), (2, 3))
+    assert sub.probs == (0.125, 0.375, 0.125, 0.375)
+    assert dist.user_marginal(39) == {1: 0.25, 3: 0.75}
+    assert dist.mean_rates() == (1.0,) * 39 + (2.5,)
+    assert dist.max_rate == 3
+    assert time.perf_counter() - start < 1.0

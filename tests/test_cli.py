@@ -221,3 +221,18 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_simulate_many_user_product_channels(tmp_path):
+    # 24 independent users: their 2^24 joint states are never built
+    cfg = base_config(str(tmp_path / "out"))
+    cfg["num_users"] = 24
+    cfg["arrival_rates"] = ["1/50"] * 24
+    cfg["channels"] = {"kind": "product", "per_user": [{"0": 0.5, "2": 0.5}] * 24}
+    cfg["subsets"] = [[2 * i, 2 * i + 1] for i in range(12)]
+    cfg["policy"] = {"name": "max_exp"}
+    cfg["horizon"] = 2000
+    cfg["replicas"] = 1
+    assert main(["simulate", str(write_config(tmp_path, cfg))]) == 0
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert summary["peak"] >= 0
