@@ -204,6 +204,10 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ExperimentConfig:
     estimation.update(raw.get("estimation", {}))
     if estimation["method"] not in ("auto", "direct", "importance"):
         raise ConfigError("estimation.method must be auto, direct, or importance")
+    if int(estimation["cycles"]) < 1:
+        raise ConfigError("estimation.cycles must be >= 1")
+    if estimation["is_horizon"] is not None and int(estimation["is_horizon"]) < 1:
+        raise ConfigError("estimation.is_horizon must be >= 1")
 
     channels = dict(channels) if isinstance(channels, Mapping) else channels
     subsets = [[int(i) for i in s] for s in subsets]

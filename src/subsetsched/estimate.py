@@ -219,27 +219,22 @@ def tilted_proposals(model: SystemModel, phi: Sequence[float]) -> list[list[floa
 
 
 def _importance_worker(args: tuple) -> tuple[int, np.ndarray, np.ndarray, int, int]:
-    """One chunk of attempts: log-likelihood ratios, hit mask, slots, truncations.
+    """One chunk of attempts, stepped in lockstep by a single ``run_hitting`` call.
 
-    Weights stay in log space: deep levels give hit weights far below the
-    smallest positive double.
+    Returns the chunk index, the attempts' log-likelihood ratios (-inf for a
+    miss), the hit mask, and the chunk's slots and truncations.  Weights stay
+    in log space: deep levels give hit weights far below the smallest
+    positive double.
     """
     model, policy_spec, level, proposals, horizon, seed, chunk_idx, chunk_size = args
     sim = Simulator(model)
     rng = rng_from_seed(seed, _STREAM_IS, chunk_idx)
     policy = make_policy(policy_spec, model, rng_from_seed(seed, _STREAM_IS_POLICY, chunk_idx))
-    tables = sim.tilted_tables(proposals)
-    log_weights = np.full(chunk_size, -np.inf)
-    hits = np.zeros(chunk_size, dtype=bool)
-    slots = truncated = 0
-    for j in range(chunk_size):
-        hit, logw, used, cut = sim.run_hitting(policy, level, rng, tables=tables, horizon=horizon)
-        slots += used
-        truncated += cut
-        if hit:
-            hits[j] = True
-            log_weights[j] = logw
-    return chunk_idx, log_weights, hits, slots, truncated
+    hits, log_weights, slots, truncated = sim.run_hitting(
+        policy, level, rng, tables=sim.tilted_tables(proposals), horizon=horizon,
+        attempts=chunk_size,
+    )
+    return chunk_idx, np.where(hits, log_weights, -np.inf), hits, slots, truncated
 
 
 def estimate_overflow_importance(
@@ -268,6 +263,10 @@ def estimate_overflow_importance(
     spec = PolicySpec(policy) if isinstance(policy, str) else policy
     proposals = tilted_proposals(model, phi)
     replicas = int(replicas)
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be >= 1")
     n_chunks = (replicas + _IS_CHUNK - 1) // _IS_CHUNK
     jobs = []
     remaining = replicas

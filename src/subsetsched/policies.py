@@ -27,6 +27,17 @@ def max_rate_user(members: Sequence[int], rates: Sequence[int]) -> int:
     return members[best_pos]
 
 
+def _member_table(subsets: SubsetSystem) -> np.ndarray:
+    """(subset, position) users; a short subset repeats its first member as padding."""
+    width = max(len(a) for a in subsets.subsets)
+    return np.array([list(a) + [a[0]] * (width - len(a)) for a in subsets.subsets], dtype=np.int64)
+
+
+def max_rate_users(member_tab: np.ndarray, subset_ids: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Row-wise ``max_rate_user``: argmax keeps the first maximum, and the -1 padding never wins."""
+    return member_tab[subset_ids, rates.argmax(axis=1)]
+
+
 class MaxExp(Policy):
     """Queue-length-only subset sampling with exponential-rule scheduling.
 
@@ -41,6 +52,11 @@ class MaxExp(Policy):
     def __init__(self, subsets: SubsetSystem):
         self.members = subsets.subsets
         self.n = subsets.num_users
+        self._tab = _member_table(subsets)
+        self._pad = np.array([[pos >= len(a) for pos in range(self._tab.shape[1])]
+                              for a in self.members])
+        self._singletons = subsets.all_singletons
+        self._log_rate = np.array([-math.inf])  # math.log(r) at index r, -inf at 0
 
     def choose_subset(self, q: Sequence[int], k: int) -> int:
         denom = 1.0 + math.sqrt(sum(q) / self.n)
@@ -70,6 +86,41 @@ class MaxExp(Policy):
                 best = i
         return members[0] if best < 0 else best
 
+    def choose_subsets(self, q: np.ndarray, k: int) -> np.ndarray:
+        x = q / (1.0 + np.sqrt(q.sum(axis=1) / self.n))[:, None]
+        if self._singletons:
+            # top + log(exp(0.0)) is exactly top
+            return x[:, self._tab[:, 0]].argmax(axis=1)
+        # the scalar rule's operations in its order, padding as exp(-inf) = 0
+        xs = np.where(self._pad, -np.inf, x[:, self._tab])
+        top = xs.max(axis=2)
+        total = np.exp(xs[:, :, 0] - top)
+        for pos in range(1, xs.shape[2]):
+            total = total + np.exp(xs[:, :, pos] - top)
+        vals = top + np.log(total)
+        best = vals.argmax(axis=1)
+        # numpy's exp and log may differ from libm's in the last bits, so a row
+        # whose two best subsets are that close takes the scalar rule
+        if vals.shape[1] > 1:
+            ranked = np.partition(vals, -2, axis=1)
+            close = ranked[:, -1] - ranked[:, -2] <= 1e-12 * (1.0 + np.abs(ranked[:, -1]))
+            for b in np.flatnonzero(close).tolist():
+                best[b] = self.choose_subset(q[b].tolist(), k)
+        return best
+
+    def choose_users(self, subset_ids: np.ndarray, rates: np.ndarray, q: np.ndarray) -> np.ndarray:
+        users = self._tab[subset_ids]
+        if self._singletons:
+            return users[:, 0]
+        top_rate = int(rates.max())
+        if top_rate >= len(self._log_rate):
+            self._log_rate = np.array([-math.inf] + [math.log(r) for r in range(1, top_rate + 1)])
+        rows = np.arange(len(q))[:, None]
+        denom = 1.0 + np.sqrt(q.sum(axis=1) / self.n)
+        # the -1 padding reads -inf, as a zero rate does
+        vals = self._log_rate[np.maximum(rates, 0)] + q[rows, users] / denom[:, None]
+        return users[rows[:, 0], vals.argmax(axis=1)]
+
 
 class MaxQueue(Policy):
     """Serve the longest queue; only defined for all-singleton subsets.
@@ -85,6 +136,10 @@ class MaxQueue(Policy):
         self._users = sorted(set(self._user_of))
         # a user listed twice maps to its lowest subset id
         self._subset_of = {u: j for j, u in reversed(list(enumerate(self._user_of)))}
+        self._user_arr = np.array(self._user_of, dtype=np.int64)
+        self._users_arr = np.array(self._users, dtype=np.int64)
+        self._subset_arr = np.zeros(subsets.num_users, dtype=np.int64)
+        self._subset_arr[list(self._subset_of)] = list(self._subset_of.values())
 
     def choose(self, q: Sequence[int]) -> int:
         return max(self._users, key=q.__getitem__)
@@ -95,12 +150,19 @@ class MaxQueue(Policy):
     def choose_user(self, subset_id: int, rates: Sequence[int], q: Sequence[int]) -> int:
         return self._user_of[subset_id]
 
+    def choose_subsets(self, q: np.ndarray, k: int) -> np.ndarray:
+        return self._subset_arr[self._users_arr[q[:, self._users_arr].argmax(axis=1)]]
+
+    def choose_users(self, subset_ids: np.ndarray, rates: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return self._user_arr[subset_ids]
+
 
 class UniformRandomSubset(Policy):
     """Uniform subset choice from an own seeded stream; max-rate user within."""
 
     def __init__(self, subsets: SubsetSystem, rng: np.random.Generator):
         self.members = subsets.subsets
+        self._tab = _member_table(subsets)
         self._stream = _UniformStream(rng)
 
     def choose_subset(self, q: Sequence[int], k: int) -> int:
@@ -110,18 +172,32 @@ class UniformRandomSubset(Policy):
     def choose_user(self, subset_id: int, rates: Sequence[int], q: Sequence[int]) -> int:
         return max_rate_user(self.members[subset_id], rates)
 
+    def choose_subsets(self, q: np.ndarray, k: int) -> np.ndarray:
+        m = len(self.members)
+        return np.minimum((self._stream.take(len(q)) * m).astype(np.int64), m - 1)
+
+    def choose_users(self, subset_ids: np.ndarray, rates: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return max_rate_users(self._tab, subset_ids, rates)
+
 
 class RoundRobinSubset(Policy):
     """Cycle through subsets in id order; max-rate user within."""
 
     def __init__(self, subsets: SubsetSystem):
         self.members = subsets.subsets
+        self._tab = _member_table(subsets)
 
     def choose_subset(self, q: Sequence[int], k: int) -> int:
         return k % len(self.members)
 
     def choose_user(self, subset_id: int, rates: Sequence[int], q: Sequence[int]) -> int:
         return max_rate_user(self.members[subset_id], rates)
+
+    def choose_subsets(self, q: np.ndarray, k: int) -> np.ndarray:
+        return np.full(len(q), k % len(self.members), dtype=np.int64)
+
+    def choose_users(self, subset_ids: np.ndarray, rates: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return max_rate_users(self._tab, subset_ids, rates)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,21 @@ class Policy:
     def choose_user(self, subset_id: int, rates: Sequence[int], q: Sequence[int]) -> int:
         raise NotImplementedError
 
+    # Lockstep forms for ``Simulator.run_hitting``: one decision per row of the
+    # ``(B, n)`` queue array, rows in order.  The defaults call the scalar rules
+    # row by row; the built-in policies override them with numpy rules that
+    # decide exactly as the scalar ones do.
+
+    def choose_subsets(self, q: np.ndarray, k: int) -> np.ndarray:
+        return np.array([self.choose_subset(row, k) for row in q.tolist()], dtype=np.int64)
+
+    def choose_users(self, subset_ids: np.ndarray, rates: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """``rates[b]`` is row b's revealed sub-state, padded with -1 past its subset's size."""
+        return np.array([
+            self.choose_user(a, tuple(r for r in row if r >= 0), qrow)
+            for a, row, qrow in zip(subset_ids.tolist(), rates.tolist(), q.tolist())
+        ], dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class ArrivalSpec:
@@ -214,6 +229,20 @@ class _UniformStream:
         self._pos = pos + 1
         return self._buf[pos]
 
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms, the same ones ``count`` calls of ``next`` give."""
+        out = np.empty(count)
+        filled = 0
+        while filled < count:
+            if self._pos == _RNG_BLOCK:
+                self._buf = self._rng.random(_RNG_BLOCK)
+                self._pos = 0
+            t = min(count - filled, _RNG_BLOCK - self._pos)
+            out[filled:filled + t] = self._buf[self._pos:self._pos + t]
+            self._pos += t
+            filled += t
+        return out
+
 
 class _SubstateDraws(_UniformStream):
     """Sub-state indices by inverse CDF on the block-buffered uniforms.
@@ -254,6 +283,13 @@ class _RecordedDraws:
                              "policy disagrees with the recording")
         self._cursors[a] = j + 1
         return self._lists[a][j]
+
+
+def _padded(rows: Sequence[Sequence[float]], width: int, fill: float) -> np.ndarray:
+    out = np.full((len(rows), width), fill)
+    for j, row in enumerate(rows):
+        out[j, :len(row)] = row
+    return out
 
 
 def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
@@ -492,6 +528,24 @@ class Simulator:
                 return k
         return period  # no arrivals at all: attempts end after one period
 
+    @cached_property
+    def _lockstep_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Padded (subset, sub-state, position) rates, -1 past a subset's size;
+        (subset, position) members; (subset, user) positions, -1 for non-members."""
+        m, width = len(self.members), max(len(a) for a in self.members)
+        rate_tab = np.full((m, max(self._sub_sizes), width), -1, dtype=np.int64)
+        member_tab = np.zeros((m, width), dtype=np.int64)
+        user_pos = np.full((m, self.n), -1, dtype=np.int64)
+        for a, (members, states) in enumerate(zip(self.members, self.sub_states)):
+            member_tab[a, :len(members)] = members
+            user_pos[a, list(members)] = range(len(members))
+            rate_tab[a, :len(states), :len(members)] = states
+        return rate_tab, member_tab, user_pos
+
+    @cached_property
+    def _arrival_table(self) -> np.ndarray | None:
+        return None if self.arrival_pattern is None else np.array(self.arrival_pattern, dtype=np.int64)
+
     def run_hitting(
         self,
         policy: Policy,
@@ -500,38 +554,89 @@ class Simulator:
         tables: tuple[list[list[float]], list[np.ndarray]] | None = None,
         horizon: int | None = None,
         max_slots: int = 10**7,
-    ) -> tuple[bool, float, int, bool]:
-        """One overflow attempt from the all-empty state.
+        attempts: int = 1,
+    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """``attempts`` independent overflow attempts from the all-empty state, in lockstep.
 
-        Runs until the longest queue reaches ``level`` (hit), the attempt
-        ends at the first all-empty slot once arrivals have begun (the
-        deterministic empty stretch before the first arrival is skipped,
-        otherwise the stopping state could be unreachable), or ``horizon``
-        slots elapse when given.  ``tables`` is ``tilted_tables``' output
-        for the proposal laws (build it once per batch of attempts), or
-        ``None`` for the natural law.  Returns (hit, log_weight, slots,
-        truncated) with the log importance weight of the drawn sub-states
-        under the natural law relative to the proposals, accumulated up to
-        the stopping slot; ``truncated`` marks an attempt without a
-        ``horizon`` that ``max_slots`` cut off before it hit or ended.
+        An attempt runs until the longest queue reaches ``level`` (hit), until
+        the first all-empty slot once arrivals have begun (the deterministic
+        empty stretch before the first arrival is skipped, otherwise the
+        stopping state could be unreachable), or for ``horizon`` slots when
+        given.  ``tables`` is ``tilted_tables``' output for the proposal laws
+        (build it once per batch), or ``None`` for the natural law.
+
+        All attempts share the slot index, so one arrival vector serves every
+        row.  Each slot draws one uniform per active row, in row order, and
+        finished rows retire in order; a single attempt therefore draws exactly
+        the uniforms of a slot-by-slot ``_step_core`` run.  Policies decide
+        through ``choose_subsets``/``choose_users``; the slot dynamics are
+        ``_step_core``'s, without its counting processes.
+
+        Returns (hits, log_weights, slots, truncated): per-attempt hit flags
+        and log importance weights of the drawn sub-states under the natural
+        law relative to the proposals, accumulated up to each stopping slot;
+        the slots simulated over the batch; and the number of attempts
+        without a ``horizon`` that ``max_slots`` cut off before they hit or
+        ended.
         """
+        if attempts < 1:
+            raise ValueError("attempts must be >= 1")
+        if horizon is not None and horizon < 1:
+            raise ValueError("horizon must be >= 1")
         cums, logw = (self.sub_cum, None) if tables is None else tables
-        state = self.initial_state()
-        draws = _SubstateDraws(rng, cums)
-        step_core = self._step_core
-        q = state.q
-        empty_ok_after = self._first_arrival_slot
-        log_weight = 0.0
+        rate_tab, member_tab, user_pos = self._lockstep_tables
+        m, depth = rate_tab.shape[:2]
+        # a uniform in [0, 1) never reaches the padding
+        cum_tab = _padded(cums, depth, 2.0)
+        logw_tab = None if logw is None else _padded(logw, depth, 0.0)
+        arrivals = self._arrival_table
         limit = horizon if horizon is not None else max_slots
+        empty_from = self._first_arrival_slot if horizon is None else limit
+        hits = np.zeros(attempts, dtype=bool)
+        log_weights = np.zeros(attempts)
+        live = np.arange(attempts)  # each active row's attempt index
+        rows = np.arange(attempts)
+        q = np.zeros((attempts, self.n), dtype=np.int64)
+        lw = np.zeros(attempts)
+        slots = 0
         for k in range(limit):
-            a, rid, _, _ = step_core(state, policy, draws)
-            if logw is not None:
-                log_weight += logw[a][rid]
-            if max(q) >= level:
-                return True, log_weight, k + 1, False
-            if horizon is None and k >= empty_ok_after and not any(q):
-                return False, log_weight, k + 1, False
-        return False, log_weight, limit, horizon is None
+            a = policy.choose_subsets(q, k)
+            if a.min() < 0 or a.max() >= m:
+                bad = a[(a < 0) | (a >= m)][0]
+                raise PolicyViolationError(f"policy chose subset id {bad} outside the system")
+            # channel state is drawn only now: choose_subsets cannot have seen it
+            rid = (cum_tab[a] <= rng.random(len(live))[:, None]).sum(axis=1)
+            rates = rate_tab[a, rid]
+            users = policy.choose_users(a, rates, q)
+            if users.min() < 0 or users.max() >= self.n or user_pos[a, users].min() < 0:
+                b = next(b for b, (ab, u) in enumerate(zip(a.tolist(), users.tolist()))
+                         if u not in self.member_pos[ab])
+                raise PolicyViolationError(
+                    f"policy scheduled user {users[b]} outside subset {self.members[a[b]]}"
+                )
+            pos = user_pos[a, users]
+            arr = self._arrivals_at(k) if arrivals is None else arrivals[k % self.arrival_period]
+            q += arr
+            served = np.minimum(q[rows, users], rates[rows, pos])
+            q[rows, users] -= served
+            if logw_tab is not None:
+                lw += logw_tab[a, rid]
+            top = q.max(axis=1)
+            hit = top >= level
+            done = hit | (top == 0) if k >= empty_from else hit
+            if done.any():
+                ended = live[done]
+                hits[ended] = hit[done]
+                log_weights[ended] = lw[done]
+                slots += (k + 1) * len(ended)
+                keep = ~done
+                live, q, lw = live[keep], q[keep], lw[keep]
+                if not len(live):
+                    return hits, log_weights, slots, 0
+                rows = rows[:len(live)]
+        log_weights[live] = lw
+        slots += limit * len(live)
+        return hits, log_weights, slots, len(live) if horizon is None else 0
 
     def replay(
         self,

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 from subsetsched.cli import main
 
@@ -177,6 +178,13 @@ class TestConfigValidation:
         cfg["subsets"] = [[0]]
         assert main(["simulate", str(write_config(tmp_path, cfg))]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key,value", [("cycles", 0), ("is_horizon", -3)])
+    def test_empty_importance_runs(self, tmp_path, capsys, key, value):
+        cfg = base_config(str(tmp_path / "out"))
+        cfg["estimation"] = {"method": "importance", key: value}
+        assert main(["exponent", str(write_config(tmp_path, cfg))]) == 2
+        assert f"estimation.{key}" in capsys.readouterr().err
 
     def test_not_json(self, tmp_path, capsys):
         path = tmp_path / "nope.json"

@@ -19,6 +19,8 @@ from subsetsched import (
     verify_matching,
 )
 
+from subsetsched.policies import make_policy
+
 from conftest import random_stable_two_user_instance
 
 
@@ -51,6 +53,45 @@ def enumerate_hit_probability(model, horizon, level):
                 total += weight
                 break
     return total
+
+
+def two_user_model():
+    return SystemModel(
+        dist=JointChannelDistribution.product_form([{0: 0.5, 2: 0.5}, {0: 0.4, 3: 0.6}]),
+        subsets=SubsetSystem.from_lists([[0], [1]], 2),
+        arrivals=ArrivalSpec.from_values(["3/5", "1/2"]),
+    )
+
+
+def enumerate_two_user_hit_probability(model, policy_name, horizon, level):
+    """Exact P[max queue >= level within horizon] over all 4**horizon slot words.
+
+    A slot's symbol is both users' rates; under uniform_random it is the
+    subset coin and the chosen user's rate.  Depth-first over prefixes: a
+    prefix that hits carries the weight of all its continuations.
+    """
+    tables = [model.dist.user_marginal(u) for u in range(2)]
+    policy = make_policy(policy_name, model, np.random.default_rng(0))
+
+    def symbols(q, k):
+        if policy_name == "uniform_random":
+            return [(a, r, 0.5 * p) for a in range(2) for r, p in tables[a].items()]
+        a = policy.choose_subset(q, k)
+        return [(a, (r0, r1)[a], p0 * p1)
+                for r0, p0 in tables[0].items() for r1, p1 in tables[1].items()]
+
+    def walk(q, k):
+        if k == horizon:
+            return 0.0
+        arr = model.arrivals.increments(k)
+        total = 0.0
+        for a, r, p in symbols(q, k):
+            nxt = [q[0] + arr[0], q[1] + arr[1]]
+            nxt[a] = max(nxt[a] - r, 0)
+            total += p * (1.0 if max(nxt) >= level else walk(nxt, k + 1))
+        return total
+
+    return walk([0, 0], 0)
 
 
 class TestDirect:
@@ -107,6 +148,38 @@ class TestImportance:
         )
         se = (est.ci_hi - est.ci_lo) / (2 * 1.96)
         assert abs(est.p_hat - exact) < 3 * se
+
+    @pytest.mark.parametrize("policy", ["round_robin", "uniform_random", "max_exp"])
+    def test_unbiased_vs_enumeration_under_each_policy(self, policy):
+        model = two_user_model()
+        horizon, level = 8, 3
+        exact = enumerate_two_user_hit_probability(model, policy, horizon, level)
+        est = estimate_overflow_importance(
+            model, policy, level, phi=[0.7, 1.2], replicas=40_000, seed=6, horizon=horizon
+        )
+        se = (est.ci_hi - est.ci_lo) / (2 * 1.96)
+        assert 0.0 < exact < 1.0
+        assert abs(est.p_hat - exact) < 3 * se
+
+    def test_enumeration_oracle_matches_the_one_user_oracle(self):
+        # a second user that never queues leaves max_queue's first user alone
+        model = SystemModel(
+            dist=JointChannelDistribution.product_form([{0: 0.5, 2: 0.5}, {0: 0.5, 2: 0.5}]),
+            subsets=SubsetSystem.from_lists([[0], [1]], 2),
+            arrivals=ArrivalSpec.from_values(["4/5", "0"]),
+        )
+        assert enumerate_two_user_hit_probability(model, "max_queue", 8, 3) == pytest.approx(
+            enumerate_hit_probability(one_user_model(), 8, 3), abs=1e-15
+        )
+
+    def test_empty_runs_rejected(self):
+        model = one_user_model()
+        with pytest.raises(ValueError, match="replicas"):
+            estimate_overflow_importance(model, "max_queue", 3, phi=[0.4], replicas=0, seed=1)
+        with pytest.raises(ValueError, match="horizon"):
+            estimate_overflow_importance(
+                model, "max_queue", 3, phi=[0.4], replicas=10, seed=1, horizon=-3
+            )
 
     def test_natural_tilt_gives_unit_weights(self):
         model = one_user_model()

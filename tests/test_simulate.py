@@ -17,7 +17,8 @@ from subsetsched import (
     check_invariants,
     scaled_path,
 )
-from subsetsched.simulate import Policy, _UniformStream, rng_from_seed
+from subsetsched.policies import make_policy
+from subsetsched.simulate import Policy, _SubstateDraws, _UniformStream, rng_from_seed
 
 
 def single_user_model(lam, rates):
@@ -179,10 +180,10 @@ class TestRun:
         # the level nor end the attempt at an empty system
         sim = Simulator(reference_model)
         policy = MaxQueue(reference_model.subsets)
-        hit, _, slots, truncated = sim.run_hitting(policy, 5, rng_from_seed(8), max_slots=2)
-        assert (hit, slots, truncated) == (False, 2, True)
+        hits, _, slots, truncated = sim.run_hitting(policy, 5, rng_from_seed(8), max_slots=2)
+        assert (hits.tolist(), slots, truncated) == ([False], 2, 1)
         # a horizon is the attempt's own end, not a truncation
-        assert sim.run_hitting(policy, 5, rng_from_seed(8), horizon=2)[3] is False
+        assert sim.run_hitting(policy, 5, rng_from_seed(8), horizon=2)[3] == 0
 
     def test_horizon_validation(self):
         model = single_user_model(0, {1: 1.0})
@@ -216,6 +217,118 @@ class TestTraceReplay:
                       record_trace=True)
         assert res.trace.total_slots() == 1234
         assert [len(v) for v in res.trace.per_subset] == list(res.state.c)
+
+
+_LOCKSTEP_TABLES = [{0: 0.5, 2: 0.5}, {0: 0.3, 1: 0.3, 3: 0.4}, {0: 0.2, 2: 0.8}]
+_LOCKSTEP_SYSTEMS = {
+    "two_singletons": ([[0], [1]], ["2/5", "1/2"]),
+    "three_singletons": ([[0], [1], [2]], ["1/3", "1/4", "2/5"]),
+    "pair_and_singleton": ([[0, 1], [2]], ["1/3", "1/4", "2/5"]),
+}
+
+
+def lockstep_model(system):
+    subsets, lams = _LOCKSTEP_SYSTEMS[system]
+    n = len(lams)
+    return SystemModel(
+        dist=JointChannelDistribution.product_form(_LOCKSTEP_TABLES[:n]),
+        subsets=SubsetSystem.from_lists(subsets, n),
+        arrivals=ArrivalSpec.from_values(lams),
+    )
+
+
+def lockstep_policy(name, model, seed):
+    if name == "custom":
+        return RandomPolicy(model.subsets, rng_from_seed(seed, 2))
+    return make_policy(name, model, rng_from_seed(seed, 2))
+
+
+def scalar_attempt(sim, policy, level, rng, tables=None, horizon=None, max_slots=10**4):
+    """One overflow attempt, slot by slot through ``_step_core``."""
+    cums, logw = (sim.sub_cum, None) if tables is None else tables
+    state = sim.initial_state()
+    draws = _SubstateDraws(rng, cums)
+    log_weight = 0.0
+    limit = horizon if horizon is not None else max_slots
+    for k in range(limit):
+        a, rid, _, _ = sim._step_core(state, policy, draws)
+        if logw is not None:
+            log_weight += logw[a][rid]
+        if max(state.q) >= level:
+            return True, log_weight, k + 1, False
+        if horizon is None and k >= sim._first_arrival_slot and not any(state.q):
+            return False, log_weight, k + 1, False
+    return False, log_weight, limit, horizon is None
+
+
+class TestLockstepHitting:
+    @pytest.mark.parametrize("horizon", [None, 12])
+    @pytest.mark.parametrize("tilted", [False, True])
+    @pytest.mark.parametrize("system,policy_name", [
+        (system, name)
+        for system in ("two_singletons", "three_singletons")
+        for name in ("max_queue", "max_exp", "round_robin", "uniform_random")
+    ] + [
+        ("pair_and_singleton", name)
+        for name in ("round_robin", "uniform_random", "max_exp", "custom")
+    ])
+    def test_single_attempt_matches_scalar_steps(self, system, policy_name, tilted, horizon):
+        # one row draws exactly the uniforms a scalar attempt draws, so every
+        # output agrees bit for bit
+        model = lockstep_model(system)
+        sim = Simulator(model)
+        tables = None
+        if tilted:
+            proposals = []
+            for states, d in zip(sim.sub_states, sim.sub_dists):
+                w = [p * np.exp(-0.6 * sum(r)) for r, p in zip(states, d.probs)]
+                proposals.append([v / sum(w) for v in w])
+            tables = sim.tilted_tables(proposals)
+        for seed in range(50):
+            expected = scalar_attempt(
+                sim, lockstep_policy(policy_name, model, seed), 4, rng_from_seed(seed, 1),
+                tables=tables, horizon=horizon,
+            )
+            hits, log_weights, slots, truncated = sim.run_hitting(
+                lockstep_policy(policy_name, model, seed), 4, rng_from_seed(seed, 1),
+                tables=tables, horizon=horizon, max_slots=10**4,
+            )
+            assert hits.shape == log_weights.shape == (1,)
+            got = (bool(hits[0]), float(log_weights[0]), slots, truncated)
+            assert got == (expected[0], expected[1], expected[2], int(expected[3])), seed
+
+    def test_batch_rows_with_a_deterministic_channel_repeat_the_scalar_attempt(self):
+        model = single_user_model("3/4", {1: 1.0})
+        sim = Simulator(model)
+        policy = MaxQueue(model.subsets)
+        hit, _, used, _ = scalar_attempt(sim, policy, 2, rng_from_seed(0), horizon=40)
+        hits, log_weights, slots, truncated = sim.run_hitting(
+            policy, 2, rng_from_seed(0), horizon=40, attempts=7
+        )
+        assert hits.tolist() == [hit] * 7
+        assert log_weights.tolist() == [0.0] * 7
+        assert (slots, truncated) == (7 * used, 0)
+
+    def test_policy_violations_are_refused(self, reference_model):
+        sim = Simulator(reference_model)
+        with pytest.raises(PolicyViolationError, match="subset id 5"):
+            sim.run_hitting(FixedPolicy(reference_model.subsets, subset_id=5), 3,
+                            rng_from_seed(0), attempts=4)
+
+        class WrongUser(FixedPolicy):
+            def choose_user(self, subset_id, rates, q):
+                return 1
+
+        with pytest.raises(PolicyViolationError, match="user 1 outside subset"):
+            sim.run_hitting(WrongUser(reference_model.subsets), 3, rng_from_seed(0), attempts=4)
+
+    def test_empty_batch_and_horizon_rejected(self, reference_model):
+        sim = Simulator(reference_model)
+        policy = MaxQueue(reference_model.subsets)
+        with pytest.raises(ValueError, match="attempts"):
+            sim.run_hitting(policy, 3, rng_from_seed(0), attempts=0)
+        with pytest.raises(ValueError, match="horizon"):
+            sim.run_hitting(policy, 3, rng_from_seed(0), horizon=0)
 
 
 class RandomPolicy(Policy):
