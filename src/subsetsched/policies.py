@@ -52,11 +52,8 @@ class MaxExp(Policy):
     def __init__(self, subsets: SubsetSystem):
         self.members = subsets.subsets
         self.n = subsets.num_users
-        self._tab = _member_table(subsets)
-        self._pad = np.array([[pos >= len(a) for pos in range(self._tab.shape[1])]
-                              for a in self.members])
         self._singletons = subsets.all_singletons
-        self._log_rate = np.array([-math.inf])  # math.log(r) at index r, -inf at 0
+        self._users = np.array([a[0] for a in self.members], dtype=np.int64)
 
     def choose_subset(self, q: Sequence[int], k: int) -> int:
         denom = 1.0 + math.sqrt(sum(q) / self.n)
@@ -86,40 +83,20 @@ class MaxExp(Policy):
                 best = i
         return members[0] if best < 0 else best
 
+    # Only singleton systems get a numpy rule: importance sampling, the one
+    # lockstep caller, runs on singletons.  Other systems decide row by row.
+
     def choose_subsets(self, q: np.ndarray, k: int) -> np.ndarray:
+        if not self._singletons:
+            return super().choose_subsets(q, k)
+        # a one-member subset's metric is top + log(exp(0.0)), exactly top
         x = q / (1.0 + np.sqrt(q.sum(axis=1) / self.n))[:, None]
-        if self._singletons:
-            # top + log(exp(0.0)) is exactly top
-            return x[:, self._tab[:, 0]].argmax(axis=1)
-        # the scalar rule's operations in its order, padding as exp(-inf) = 0
-        xs = np.where(self._pad, -np.inf, x[:, self._tab])
-        top = xs.max(axis=2)
-        total = np.exp(xs[:, :, 0] - top)
-        for pos in range(1, xs.shape[2]):
-            total = total + np.exp(xs[:, :, pos] - top)
-        vals = top + np.log(total)
-        best = vals.argmax(axis=1)
-        # numpy's exp and log may differ from libm's in the last bits, so a row
-        # whose two best subsets are that close takes the scalar rule
-        if vals.shape[1] > 1:
-            ranked = np.partition(vals, -2, axis=1)
-            close = ranked[:, -1] - ranked[:, -2] <= 1e-12 * (1.0 + np.abs(ranked[:, -1]))
-            for b in np.flatnonzero(close).tolist():
-                best[b] = self.choose_subset(q[b].tolist(), k)
-        return best
+        return x[:, self._users].argmax(axis=1)
 
     def choose_users(self, subset_ids: np.ndarray, rates: np.ndarray, q: np.ndarray) -> np.ndarray:
-        users = self._tab[subset_ids]
-        if self._singletons:
-            return users[:, 0]
-        top_rate = int(rates.max())
-        if top_rate >= len(self._log_rate):
-            self._log_rate = np.array([-math.inf] + [math.log(r) for r in range(1, top_rate + 1)])
-        rows = np.arange(len(q))[:, None]
-        denom = 1.0 + np.sqrt(q.sum(axis=1) / self.n)
-        # the -1 padding reads -inf, as a zero rate does
-        vals = self._log_rate[np.maximum(rates, 0)] + q[rows, users] / denom[:, None]
-        return users[rows[:, 0], vals.argmax(axis=1)]
+        if not self._singletons:
+            return super().choose_users(subset_ids, rates, q)
+        return self._users[subset_ids]
 
 
 class MaxQueue(Policy):

@@ -529,22 +529,16 @@ class Simulator:
         return period  # no arrivals at all: attempts end after one period
 
     @cached_property
-    def _lockstep_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _lockstep_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Padded (subset, sub-state, position) rates, -1 past a subset's size;
-        (subset, position) members; (subset, user) positions, -1 for non-members."""
+        (subset, user) positions, -1 for non-members."""
         m, width = len(self.members), max(len(a) for a in self.members)
         rate_tab = np.full((m, max(self._sub_sizes), width), -1, dtype=np.int64)
-        member_tab = np.zeros((m, width), dtype=np.int64)
         user_pos = np.full((m, self.n), -1, dtype=np.int64)
         for a, (members, states) in enumerate(zip(self.members, self.sub_states)):
-            member_tab[a, :len(members)] = members
             user_pos[a, list(members)] = range(len(members))
             rate_tab[a, :len(states), :len(members)] = states
-        return rate_tab, member_tab, user_pos
-
-    @cached_property
-    def _arrival_table(self) -> np.ndarray | None:
-        return None if self.arrival_pattern is None else np.array(self.arrival_pattern, dtype=np.int64)
+        return rate_tab, user_pos
 
     def run_hitting(
         self,
@@ -584,12 +578,11 @@ class Simulator:
         if horizon is not None and horizon < 1:
             raise ValueError("horizon must be >= 1")
         cums, logw = (self.sub_cum, None) if tables is None else tables
-        rate_tab, member_tab, user_pos = self._lockstep_tables
+        rate_tab, user_pos = self._lockstep_tables
         m, depth = rate_tab.shape[:2]
         # a uniform in [0, 1) never reaches the padding
         cum_tab = _padded(cums, depth, 2.0)
         logw_tab = None if logw is None else _padded(logw, depth, 0.0)
-        arrivals = self._arrival_table
         limit = horizon if horizon is not None else max_slots
         empty_from = self._first_arrival_slot if horizon is None else limit
         hits = np.zeros(attempts, dtype=bool)
@@ -615,8 +608,7 @@ class Simulator:
                     f"policy scheduled user {users[b]} outside subset {self.members[a[b]]}"
                 )
             pos = user_pos[a, users]
-            arr = self._arrivals_at(k) if arrivals is None else arrivals[k % self.arrival_period]
-            q += arr
+            q += self._arrivals_at(k)
             served = np.minimum(q[rows, users], rates[rows, pos])
             q[rows, users] -= served
             if logw_tab is not None:
