@@ -36,6 +36,8 @@ A subset-structured variant replaces Cramér costs by relative-entropy
 costs of sub-state distributions and per-user rates by the winner-map
 vertices of each subset's service region; under its verbatim
 denominator each subset acts as one user, so the same walk solves it.
+Its vacuity test sums one exact gauge per subset and keeps an LP only
+near the hull boundary (see ``_SCREEN_BAND``).
 
 For matched singleton systems the two sides agree; the report carries
 both values, the certifying twist and the dual gap.
@@ -51,7 +53,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import brentq, linprog, minimize
 
-from .channels import JointChannelDistribution, SubsetSystem
+from .channels import JointChannelDistribution, SubsetSystem, SubStateDistribution
 from .ratefn import (
     ScalarRateFunction,
     SubsetRateRegion,
@@ -475,7 +477,7 @@ def _region_lambda_out_of_hull(
 ) -> bool:
     """True when no time-shared combination of region points dominates lambda.
 
-    Membership LP: beta >= 0 on the combined vertex list, sum beta = 1,
+    Membership LP: beta >= 0 on the combined vertex list, sum beta <= 1,
     (beta V)_i >= lambda_i for all i.  Dominated arrivals make the bound
     vacuous (they are inside the induced throughput region).
     """
@@ -489,6 +491,132 @@ def _region_lambda_out_of_hull(
         method="highs",
     )
     return not res.success
+
+
+# The vacuity screen.  For disjoint subsets the membership LP above is
+# feasible exactly when G(lambda) = sum_a g_a(lambda_a) <= 1, where g_a is
+# the gauge of subset a's region closed downward: the least time share t
+# with lambda_a <= t v for some region point v.  By polarity g_a(x) is the
+# max over weights beta >= 0 of beta.x / h_a(beta), with h_a(beta) =
+# E_phi[max_i beta_i r_i] the region's support function.  A lone member
+# reads x / (phi . r).  For a pair h_a is convex and piecewise linear in
+# beta_0 (beta_1 = 1 - beta_0) with kinks at each sub-state's r_1 / (r_0 +
+# r_1), and beta.x / h_a is monotone on each piece, so the max sits at
+# beta_0 in {0, 1} or at a kink.
+# HiGHS answers within its primal feasibility tolerance tau = 1e-7: it may
+# accept beta V >= lambda - tau with sum beta <= 1 + tau.  G is monotone and
+# subadditive, so such a lambda has G(lambda) <= G((lambda - tau)^+) +
+# tau G(1) <= 1 + tau (1 + G(1)), with 1 the indicator of lambda > 0.  The
+# screen therefore answers only when |G - 1| exceeds both that margin and
+# 1e-6, ten times the widest gap from 1 at which the gauge and HiGHS were
+# seen to disagree (9.99999945e-8, on the Nelder-Mead trajectories of the
+# pair bound).  Inside that band, and for any subset of three or more
+# members, the LP decides.
+_SCREEN_BAND = 1e-6
+_HIGHS_FEAS_TOL = 1e-7
+
+
+@dataclass(frozen=True)
+class _SubsetLaw:
+    """One subset's natural sub-state law and its support-function table.
+
+    Row k of ``support`` holds max_i betas[k, i] r_i(s) over the sub-states
+    s, so ``support @ phi`` is the region's support function at every
+    candidate weight.  Both arrays are None for three or more members.
+    """
+
+    law: SubStateDistribution
+    betas: np.ndarray | None
+    support: np.ndarray | None
+
+
+def _subset_laws(dist: JointChannelDistribution, subsets: SubsetSystem) -> list[_SubsetLaw]:
+    """Sub-state laws and gauge tables of every subset, built once per search."""
+    out = []
+    for alpha in subsets.subsets:
+        law = dist.substate_marginal(alpha)
+        rates = np.asarray(law.substates, dtype=float)
+        if len(alpha) == 1:
+            betas = np.ones((1, 1))
+        elif len(alpha) == 2:
+            total = rates.sum(axis=1)
+            b0 = np.concatenate([[0.0, 1.0], rates[total > 0, 1] / total[total > 0]])
+            betas = np.stack([b0, 1.0 - b0], axis=1)
+        else:
+            out.append(_SubsetLaw(law, None, None))
+            continue
+        support = np.max(betas[:, None, :] * rates[None, :, :], axis=2)
+        out.append(_SubsetLaw(law, betas, support))
+    return out
+
+
+def _hull_screen(
+    lam: np.ndarray, laws: Sequence[_SubsetLaw], phis: Sequence[Sequence[float]]
+) -> bool | None:
+    """``_region_lambda_out_of_hull``'s answer by the gauge, or None near the boundary.
+
+    None also for subsets of three or more members and for arrivals on a
+    user no subset observes.
+    """
+    if any(sl.betas is None for sl in laws):
+        return None
+    covered = [i for sl in laws for i in sl.law.subset]
+    if len(covered) < lam.shape[0] and np.delete(lam, covered).max() > 0.0:
+        return None
+    gauge = ones = 0.0
+    for sl, ph in zip(laws, phis):
+        lam_a = lam[list(sl.law.subset)]
+        num = sl.betas @ np.stack([lam_a, lam_a > 0.0], axis=1)
+        # a zero (or, from slightly negative law entries, negative) support
+        # value reads as an infinite gauge, which leaves the answer to the LP
+        h = np.maximum(sl.support @ np.asarray(ph, dtype=float), 0.0)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(num > 0.0, num / h, 0.0)
+        g, g_ones = np.maximum.reduce(ratio, axis=0)
+        gauge += g
+        ones += g_ones
+    if abs(gauge - 1.0) <= max(_SCREEN_BAND, _HIGHS_FEAS_TOL * (1.0 + ones)):
+        return None
+    return bool(gauge > 1.0)
+
+
+def _lone_mean(law: SubStateDistribution, phi: Sequence[float]) -> float:
+    """A lone member's service rate under ``phi``, summed in ``region_vertices``' order."""
+    total = 0.0
+    for p, r in zip(phi, law.substates):
+        total += float(p) * r[0]
+    return total
+
+
+def _subset_bound(
+    lam: np.ndarray,
+    laws: Sequence[_SubsetLaw],
+    phis: Sequence[Sequence[float]],
+    num_users: int,
+) -> tuple[float, dict]:
+    """``subset_upper_bound`` on prebuilt subset laws."""
+    if len(phis) != len(laws):
+        raise ValueError("need one sub-state distribution per subset")
+    costs = np.array([sanov_rate(sl.law, ph) for sl, ph in zip(laws, phis)])
+    if not np.all(np.isfinite(costs)):
+        return math.inf, {"reason": "sub-state distribution off the support"}
+    out = _hull_screen(lam, laws, phis)
+    if out is None:
+        regions = [region_vertices(sl.law, ph) for sl, ph in zip(laws, phis)]
+        out = _region_lambda_out_of_hull(lam, regions, num_users)
+    if not out:
+        return math.inf, {"reason": "arrivals inside the induced throughput region"}
+
+    lam_v = np.array([lam[list(sl.law.subset)].max() for sl in laws])
+    phi_v = np.array([_lone_mean(sl.law, ph) if len(sl.law.subset) == 1 else 0.0
+                      for sl, ph in zip(laws, phis)])
+    value, c = _inner_sup_users(lam_v, phi_v[None, :], costs[None, :])
+    multi = any(len(sl.law.subset) >= 2 for sl in laws)
+    den = float(np.max(lam_v - c[0] * phi_v))
+    return float(value[0]), {
+        "c": tuple(float(v) for v in c[0]),
+        "lambda_max_dominated": bool(multi and abs(den - float(np.max(lam))) <= 1e-12),
+    }
 
 
 def subset_upper_bound(
@@ -510,31 +638,17 @@ def subset_upper_bound(
     user per subset.  The ``lambda_max_dominated`` diagnostic flags when
     that verbatim reading pins the denominator at the raw arrival maximum.
     Returns ``inf`` when the arrival vector is dominated by the
-    time-shared regions.
+    time-shared regions.  That test sums one exact gauge per subset (the
+    least time share at which its region covers its arrivals; closed form
+    for one or two members) and answers from the sum when it is more than
+    1e-6 away from 1, and further than HiGHS's 1e-7 tolerance can reach.
+    Inside that band, and whenever a subset has three or more members, it
+    enumerates the region vertices and solves the membership LP.
     """
     if not subsets.disjoint:
         raise ValueError("subset upper bound requires disjoint observable subsets")
     lam = np.asarray([float(v) for v in lams])
-    if len(phis) != len(subsets.subsets):
-        raise ValueError("need one sub-state distribution per subset")
-    sub_dists = [dist.substate_marginal(a) for a in subsets.subsets]
-    costs = np.array([sanov_rate(sd, ph) for sd, ph in zip(sub_dists, phis)])
-    if not np.all(np.isfinite(costs)):
-        return math.inf, {"reason": "sub-state distribution off the support"}
-    regions = [region_vertices(sd, ph) for sd, ph in zip(sub_dists, phis)]
-    if not _region_lambda_out_of_hull(lam, regions, dist.num_users):
-        return math.inf, {"reason": "arrivals inside the induced throughput region"}
-
-    lam_v = np.array([lam[list(alpha)].max() for alpha in subsets.subsets])
-    phi_v = np.array([region.min_coordinate(0) if len(alpha) == 1 else 0.0
-                      for region, alpha in zip(regions, subsets.subsets)])
-    value, c = _inner_sup_users(lam_v, phi_v[None, :], costs[None, :])
-    multi = any(len(a) >= 2 for a in subsets.subsets)
-    den = float(np.max(lam_v - c[0] * phi_v))
-    return float(value[0]), {
-        "c": tuple(float(v) for v in c[0]),
-        "lambda_max_dominated": bool(multi and abs(den - float(np.max(lam))) <= 1e-12),
-    }
+    return _subset_bound(lam, _subset_laws(dist, subsets), phis, dist.num_users)
 
 
 def minimize_subset_upper_bound(
@@ -550,16 +664,21 @@ def minimize_subset_upper_bound(
     to each subset's support; Nelder-Mead multistarts seed from
     service-suppressing tilts of the natural laws (the natural laws
     themselves are inside the vacuous-hull region for stable arrivals).
+    Each evaluation is ``subset_upper_bound`` on sub-state laws built once
+    for the search: its vacuity test answers from the per-subset gauges
+    away from the hull boundary and runs the membership LP only within
+    1e-6 of it (or on subsets of three or more members); outside that
+    band both give the same answers, so the search takes the LP's path.
     The search can stop above the bound's infimum; ``diag`` counts the
     Nelder-Mead runs (``nelder_mead_starts``).
     """
     if not subsets.disjoint:
         raise ValueError("requires disjoint observable subsets")
-    lam = [float(v) for v in lams]
-    sub_dists = [dist.substate_marginal(a) for a in subsets.subsets]
-    dims = [len(sd.substates) for sd in sub_dists]
-    log_nat = [np.log(np.maximum(np.asarray(sd.probs), 1e-300)) for sd in sub_dists]
-    total_rate = [np.array([sum(r) for r in sd.substates], dtype=float) for sd in sub_dists]
+    lam = np.asarray([float(v) for v in lams])
+    laws = _subset_laws(dist, subsets)
+    dims = [len(sl.law.substates) for sl in laws]
+    log_nat = [np.log(np.maximum(np.asarray(sl.law.probs), 1e-300)) for sl in laws]
+    total_rate = [np.array([sum(r) for r in sl.law.substates], dtype=float) for sl in laws]
 
     def unpack(z: np.ndarray) -> list[np.ndarray]:
         out = []
@@ -573,7 +692,7 @@ def minimize_subset_upper_bound(
         return out
 
     def objective(z: np.ndarray) -> float:
-        val, _ = subset_upper_bound(lam, dist, subsets, unpack(z))
+        val, _ = _subset_bound(lam, laws, unpack(z), dist.num_users)
         return val
 
     starts = []

@@ -4,7 +4,8 @@ Script-safe: diagnostics go to stderr, data to files.  Summary files are
 byte-identical across reruns of the same config (they embed the config
 hash, package version, seed and grid resolutions); wall-clock timing goes
 to a ``*.meta.json`` sidecar so it cannot break determinism.  Exit codes:
-0 success, 1 runtime error, 2 config validation error.
+0 success, 1 runtime error, 2 config validation error or an input whose
+subset vertex enumeration exceeds its cap.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .estimate import (
     fit_exponent,
 )
 from .policies import make_policy
+from .ratefn import VertexCapError
 from .simulate import Simulator, rng_from_seed
 
 
@@ -259,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         raise AssertionError("unreachable")
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
+        return 2
+    except VertexCapError as exc:
+        print(json.dumps({"error": "vertex cap", "message": str(exc)}), file=sys.stderr)
         return 2
     except UnstableArrivalsError as exc:
         print(json.dumps({"error": "unstable arrival vector", "message": str(exc)}), file=sys.stderr)

@@ -188,6 +188,10 @@ def sanov_rate(base: SubStateDistribution, phi: Sequence[float]) -> float:
     return max(0.0, out)
 
 
+class VertexCapError(ValueError):
+    """A subset's winner-map vertex enumeration would exceed its cap."""
+
+
 @dataclass(frozen=True)
 class SubsetRateRegion:
     """Service-rate polytope of one subset under a fixed sub-state law.
@@ -211,9 +215,6 @@ class SubsetRateRegion:
                 out[row, user] = v[pos]
         return out
 
-    def min_coordinate(self, member_position: int) -> float:
-        return min(v[member_position] for v in self.vertices)
-
 
 def region_vertices(
     substates: SubStateDistribution,
@@ -223,12 +224,13 @@ def region_vertices(
     """Enumerate the winner-map vertices of a subset's rate region.
 
     There are ``|subset| ** n_substates`` maps (duplicate vertices are
-    merged); raises if that exceeds ``cap``.
+    merged); raises ``VertexCapError`` if that exceeds ``cap``.
     """
     k = len(substates.subset)
     n_states = len(substates.substates)
     if k**n_states > cap:
-        raise ValueError(f"vertex enumeration {k}**{n_states} exceeds cap {cap}")
+        raise VertexCapError(f"subset {substates.subset}: vertex enumeration "
+                             f"{k}**{n_states} exceeds cap {cap}")
     if phi is None:
         weights = [float(p) for p in substates.probs]
     else:

@@ -74,7 +74,8 @@ def grid_legendre_table(marginal: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def test_criterion_1_cramer_grid_equivalence():
-    t0 = time.monotonic()
+    # CPU time of this process, so other processes' load cannot spend the budget
+    t0 = time.process_time()
     rng = np.random.Generator(np.random.PCG64(101))
     worst = 0.0
     for _ in range(50):
@@ -85,7 +86,7 @@ def test_criterion_1_cramer_grid_equivalence():
         for x in xs:
             oracle = float(np.max(etas * x - log_mgf))
             worst = max(worst, abs(rf.rate(float(x)) - oracle))
-    elapsed = time.monotonic() - t0
+    elapsed = time.process_time() - t0
     assert worst < 1e-6, f"worst deviation {worst:.3e}"
     assert elapsed < 10.0, f"took {elapsed:.1f}s (budget 10s)"
     _report(1, f"50 marginals x 20 points, worst |dual - grid sup| = {worst:.2e}, "

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from subsetsched import bounds
 from subsetsched import (
     JointChannelDistribution,
     ScalarRateFunction,
@@ -14,6 +15,7 @@ from subsetsched import (
     drift_solve,
     jstar_singleton,
     minimize_subset_upper_bound,
+    region_vertices,
     subset_upper_bound,
     tilt_to_mean,
     upper_bound_eval,
@@ -21,7 +23,7 @@ from subsetsched import (
     verify_matching,
 )
 
-from conftest import random_stable_two_user_instance
+from conftest import random_marginal, random_stable_two_user_instance
 
 BINARY = {0: 0.5, 2: 0.5}
 
@@ -404,6 +406,114 @@ class TestSubsetUpperBound:
         # multi-user subsets admit zero-service vertices, pinning the
         # denominator at the raw arrival maximum
         assert diag.get("lambda_max_dominated", False)
+
+
+def _random_channels(rng, num_users, joint):
+    # few enough sub-states that a three-member region has few vertices
+    if not joint:
+        return JointChannelDistribution.product_form(
+            [random_marginal(rng, max_pts=5 - num_users) for _ in range(num_users)])
+    states = {tuple(int(r) for r in rng.integers(0, 4, size=num_users))
+              for _ in range(int(rng.integers(2, 7)))}
+    return JointChannelDistribution.from_table(sorted(states), rng.dirichlet(np.ones(len(states))))
+
+
+def _random_laws(rng, laws):
+    # Dirichlet laws, some with null sub-states (a member may get no service)
+    out = []
+    for sl in laws:
+        phi = rng.dirichlet(np.ones(len(sl.law.probs)))
+        if len(phi) > 1 and rng.random() < 0.3:
+            phi[int(rng.integers(len(phi)))] = 0.0
+            phi /= phi.sum()
+        out.append(phi)
+    return out
+
+
+def _lp_gauge(lam, regions, num_users):
+    """Test-local gauge: least total time share whose region points cover lam."""
+    verts = np.vstack([r.embedded_vertices(num_users) for r in regions])
+    res = linprog(np.ones(len(verts)), A_ub=-verts.T, b_ub=-lam,
+                  bounds=[(0.0, None)] * len(verts), method="highs")
+    return res.fun if res.status == 0 else math.inf
+
+
+class TestVacuityScreen:
+    """The gauge screen answers as the membership LP, or leaves it the question."""
+
+    SYSTEMS = {
+        "singletons": ([[0], [1]], 2),
+        "pair": ([[0, 1]], 2),
+        "pair_plus_singleton": ([[0, 1], [2]], 3),
+        "triple": ([[0, 1, 2]], 3),
+    }
+
+    @pytest.mark.parametrize("joint", [False, True], ids=["product", "joint"])
+    @pytest.mark.parametrize("system", list(SYSTEMS))
+    def test_screen_agrees_with_linprog(self, system, joint):
+        lists, n = self.SYSTEMS[system]
+        subsets = SubsetSystem.from_lists(lists, n)
+        rng = np.random.Generator(np.random.PCG64([17, list(self.SYSTEMS).index(system), int(joint)]))
+        decided = 0
+        for _ in range(25):
+            dist = _random_channels(rng, n, joint)
+            laws = bounds._subset_laws(dist, subsets)
+            phis = _random_laws(rng, laws)
+            regions = [region_vertices(sl.law, ph) for sl, ph in zip(laws, phis)]
+            lam = rng.uniform(0.05, 1.0, size=n)
+            gauge = _lp_gauge(lam, regions, n)
+            ones = _lp_gauge((lam > 0).astype(float), regions, n)
+            cases = [(lam, None)]
+            if math.isfinite(gauge):
+                cases += [(lam * (1.0 + d) / gauge, d)
+                          for d in (-1e-3, 1e-3, -1e-5, 1e-5, -2e-6, 2e-6, -5e-7, 5e-7)]
+            for lam_c, d in cases:
+                verdict = bounds._hull_screen(lam_c, laws, phis)
+                if system == "triple" or (d is not None and abs(d) <= 1e-6):
+                    assert verdict is None
+                if d is not None and abs(d) >= 2e-6 and ones <= 9.0 and system != "triple":
+                    assert verdict == (d > 0)  # the gauge is exact outside the band
+                if verdict is not None:
+                    decided += 1
+                    assert verdict == bounds._region_lambda_out_of_hull(lam_c, regions, n)
+        assert (decided == 0) == (system == "triple")
+
+    def test_uncovered_arrivals_go_to_the_lp(self):
+        dist = JointChannelDistribution.product_form([BINARY, BINARY, BINARY])
+        subsets = SubsetSystem.from_lists([[0, 1]], 3)
+        laws = bounds._subset_laws(dist, subsets)
+        lam = np.array([0.1, 0.1, 0.2])
+        assert bounds._hull_screen(lam, laws, [dist.substate_marginal([0, 1]).probs]) is None
+        val, _ = subset_upper_bound(lam, dist, subsets, [[0.25] * 4])
+        assert val < math.inf  # user 2 is never served
+
+    @pytest.mark.parametrize("multistarts", [0, 8])
+    @pytest.mark.parametrize("lists", [[[0, 1]], [[0], [1]]], ids=["pair", "singletons"])
+    def test_search_equals_the_lp_only_search(self, monkeypatch, lists, multistarts):
+        dist = JointChannelDistribution.product_form([BINARY, BINARY])
+        subsets = SubsetSystem.from_lists(lists, 2)
+        screened = minimize_subset_upper_bound([0.4, 0.4], dist, subsets,
+                                               multistarts=multistarts, seed=0)
+        # rerun with the screen undecided everywhere, so the LP answers every
+        # evaluation; each verdict the screen would have given must be the LP's
+        verdicts = []
+        screen, out_of_hull = bounds._hull_screen, bounds._region_lambda_out_of_hull
+
+        def undecided(lam, laws, phis):
+            verdicts.append(screen(lam, laws, phis))
+            return None
+
+        def checked_lp(lam, regions, num_users):
+            out = out_of_hull(lam, regions, num_users)
+            assert verdicts[-1] in (None, out)
+            return out
+
+        monkeypatch.setattr(bounds, "_hull_screen", undecided)
+        monkeypatch.setattr(bounds, "_region_lambda_out_of_hull", checked_lp)
+        lp_only = minimize_subset_upper_bound([0.4, 0.4], dist, subsets,
+                                              multistarts=multistarts, seed=0)
+        assert screened == lp_only
+        assert any(v is not None for v in verdicts)
 
 
 class TestVerifyMatching:

@@ -224,6 +224,19 @@ def test_bounds_general_disjoint_subsets(tmp_path):
     assert rep["diagnostics"]["lambda_max_dominated"] is True
 
 
+def test_vertex_cap_input_exits_2(tmp_path, capsys):
+    # a pair with 5 rates per user has 25 sub-states: 2**25 winner maps
+    cfg = base_config(str(tmp_path / "out"))
+    cfg["subsets"] = [[0, 1]]
+    table = {str(r): 0.2 for r in range(5)}
+    cfg["channels"] = {"kind": "product", "per_user": [table, table]}
+    rc = main(["bounds", str(write_config(tmp_path, cfg))])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "vertex cap"
+    assert err["message"] == "subset (0, 1): vertex enumeration 2**25 exceeds cap 1000000"
+
+
 def test_selftest_passes(capsys):
     # the built-in oracle battery behind `subsetsched selftest`
     assert main(["selftest"]) == 0
