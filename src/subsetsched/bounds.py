@@ -279,7 +279,6 @@ def jstar_singleton(
     grid_res: float = 0.01,
     multistarts: int = 64,
     seed: int = 0,
-    max_users: int = 12,
 ) -> JstarResult:
     """Exponent lower bound min_S inf_phi f_S(phi) for per-user sampling.
 
@@ -290,15 +289,15 @@ def jstar_singleton(
     ``grid_res``, ``multistarts`` and ``seed`` are accepted and ignored: the
     dual leaves nothing to grid or restart, and callers pass the same
     settings to ``verify_matching``.  Requires a strictly stable arrival
-    vector.
+    vector and at most 12 users (2^n - 1 user sets are enumerated).
     """
     rfs = _as_rate_functions(marginals)
     lam = [float(v) for v in lams]
     n = len(rfs)
     if len(lam) != n:
         raise ValueError("arrival vector and marginals length mismatch")
-    if n > max_users:
-        raise ValueError(f"{n} users exceeds the subset-enumeration cap {max_users}")
+    if n > 12:
+        raise ValueError(f"{n} users exceeds the subset-enumeration cap 12")
     _check_singleton_stable(lam, rfs)
     best: tuple[float, tuple[int, ...], tuple[float, ...], float] | None = None
     per_subset: dict[tuple[int, ...], float] = {}
@@ -322,75 +321,70 @@ def jstar_singleton(
 # universal upper bound, per-user twists
 
 
-def _hull_contains(lams: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Membership of the arrival vector in the scaled-simplex hull.
+def _hull_contains(lam: np.ndarray, phi: np.ndarray) -> bool:
+    """Membership of the arrival vector in the scaled-simplex hull of one twist.
 
     The hull spanned by the origin and the per-user points phi_i e_i is
     {x >= 0 : sum_i x_i / phi_i <= 1}; coordinates with phi_i = 0 must be 0.
-    ``phis`` is one twist (n,) or a batch (m, n) of them.
     """
-    active = lams > _TINY
-    starved = (active & (phis <= _TINY)).any(axis=-1)
-    load = np.where(active, lams / np.where(phis > _TINY, phis, np.inf), 0.0).sum(axis=-1)
-    return ~starved & (load <= 1.0 + 1e-12)
+    active = lam > _TINY
+    starved = (active & (phi <= _TINY)).any()
+    load = np.where(active, lam / np.where(phi > _TINY, phi, np.inf), 0.0).sum()
+    return not starved and load <= 1.0 + 1e-12
 
 
-def _drift_floor(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Lowest common drift level w that each row of twists can hold every queue to.
+def _drift_floor(lam: np.ndarray, phi: np.ndarray) -> float:
+    """Lowest common drift level w that the twist can hold every queue to.
 
-    Row-wise over an (m, n) batch of twists: the least w >= 0 with
-    sum_i max(0, (lambda_i - w) / phi_i) <= 1, raised to the arrival rate of
-    any user the twist starves (phi_i = 0).  Every user set's
-    drift-equalizing level lies at or below that root, since its budget
-    terms are bounded by the max(0, .) ones, and the users above the root
-    are a prefix by decreasing arrival rate whose level is the root: so
-    the root is the largest level over those prefixes.
+    The least w >= 0 with sum_i max(0, (lambda_i - w) / phi_i) <= 1, raised
+    to the arrival rate of any user the twist starves (phi_i = 0).  Every
+    user set's drift-equalizing level lies at or below that root, since its
+    budget terms are bounded by the max(0, .) ones, and the users above the
+    root are a prefix by decreasing arrival rate whose level is the root:
+    so the root is the largest level over those prefixes.
     """
     pos = phi > _TINY
     inv = 1.0 / np.where(pos, phi, np.inf)
-    w_floor = np.maximum.reduce(np.where(pos, 0.0, lam), axis=1)  # starved users
+    w_floor = np.maximum.reduce(np.where(pos, 0.0, lam))  # starved users
     order = np.argsort(-lam, kind="stable")
-    inv_o = inv[:, order]
+    inv_o = inv[order]
     with np.errstate(divide="ignore"):  # a prefix of starved users only: -inf
-        w = (np.cumsum(lam[order] * inv_o, axis=1) - 1.0) / np.cumsum(inv_o, axis=1)
-    return np.maximum(w_floor, np.maximum.reduce(w, axis=1, initial=0.0))
+        w = (np.cumsum(lam[order] * inv_o) - 1.0) / np.cumsum(inv_o)
+    return float(np.maximum(w_floor, np.maximum.reduce(w, initial=0.0)))
 
 
 def _inner_sup_users(
     lam: np.ndarray,
     phi: np.ndarray,
     lstar: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """sup over the c-simplex of sum c_i lstar_i / max_i (lambda_i - c_i phi_i).
 
-    Row-wise over an (m, n) batch of twists ``phi`` and their finite costs
-    ``lstar``, in one set of (m, n + 1, n) array passes.  Assumes the hull
-    check already excluded the arrival vector, so every c has a strictly
-    positive denominator.  Exact by the breakpoint argument of the module
-    docstring: the candidates are the denominator levels w_lo (the drift
-    floor) and every arrival rate above it, each allocating the
-    least frequencies that keep all drifts <= w and the leftover mass to
-    the costliest user.  Returns the sups (floored at 0) and an (m, n)
-    array of the frequencies attaining them.  Reductions call the ufuncs
-    directly, which matters at m = 1.
+    For one twist ``phi`` and its finite costs ``lstar``, in one set of
+    (n + 1, n) array passes.  Assumes the hull check already excluded the
+    arrival vector, so every c has a strictly positive denominator.  Exact
+    by the breakpoint argument of the module docstring: the candidates are
+    the denominator levels w_lo (the drift floor) and every arrival rate
+    above it, each allocating the least frequencies that keep all drifts
+    <= w and the leftover mass to the costliest user.  Returns the sup
+    (floored at 0) and the frequencies attaining it.  Reductions call the
+    ufuncs directly, which matters at this size.
     """
-    m, n = phi.shape
+    n = phi.shape[0]
     if n == 0 or lam.max() <= _TINY:
-        return np.zeros(m), np.zeros((m, n))
-    rows = np.arange(m)
-    w_lo = np.maximum(_drift_floor(lam, phi), 1e-14)[:, None]
+        return 0.0, np.zeros(n)
+    w_lo = np.maximum(_drift_floor(lam, phi), 1e-14)
     # levels: w_lo and every arrival rate, one below w_lo lifted to it
-    w = np.concatenate([w_lo, np.maximum(lam, w_lo)], axis=1)
+    w = np.concatenate([[w_lo], np.maximum(lam, w_lo)])
     inv = 1.0 / np.where(phi > _TINY, phi, np.inf)
-    c = np.maximum(0.0, (lam - w[:, :, None]) * inv[:, None, :])
-    s = np.add.reduce(c, axis=2)
-    c[rows, :, np.argmax(lstar, axis=1)] += np.maximum(0.0, 1.0 - s)
-    den = np.maximum.reduce(lam - c * phi[:, None, :], axis=2)
+    c = np.maximum(0.0, (lam - w[:, None]) * inv)
+    s = np.add.reduce(c, axis=1)
+    c[:, np.argmax(lstar)] += np.maximum(0.0, 1.0 - s)
+    den = np.maximum.reduce(lam - c * phi, axis=1)
     ok = (s <= 1.0 + 1e-9) & (den > _TINY)
-    val = np.where(ok, np.add.reduce(c * lstar[:, None, :], axis=2) / np.where(ok, den, 1.0),
-                   -np.inf)
-    best = np.argmax(val, axis=1)
-    return np.maximum(0.0, val[rows, best]), c[rows, best]
+    val = np.where(ok, np.add.reduce(c * lstar, axis=1) / np.where(ok, den, 1.0), -np.inf)
+    best = np.argmax(val)
+    return float(np.maximum(0.0, val[best])), c[best]
 
 
 def upper_bound_eval(
@@ -413,7 +407,7 @@ def upper_bound_eval(
         return math.inf
     if _hull_contains(lam, phi):
         return math.inf
-    return float(_inner_sup_users(lam, phi[None, :], lstar[None, :])[0][0])
+    return _inner_sup_users(lam, phi, lstar)[0]
 
 
 def upper_bound_min(
@@ -462,7 +456,7 @@ def overflow_time_window(
     t_min = 1.0 / lam_max
     if _hull_contains(lam, phi):
         return t_min, math.inf
-    w_lo = float(_drift_floor(lam, phi[None, :])[0])
+    w_lo = _drift_floor(lam, phi)
     if w_lo <= _TINY:
         return t_min, math.inf
     return t_min, 1.0 / w_lo
@@ -610,11 +604,11 @@ def _subset_bound(
     lam_v = np.array([lam[list(sl.law.subset)].max() for sl in laws])
     phi_v = np.array([_lone_mean(sl.law, ph) if len(sl.law.subset) == 1 else 0.0
                       for sl, ph in zip(laws, phis)])
-    value, c = _inner_sup_users(lam_v, phi_v[None, :], costs[None, :])
+    value, c = _inner_sup_users(lam_v, phi_v, costs)
     multi = any(len(sl.law.subset) >= 2 for sl in laws)
-    den = float(np.max(lam_v - c[0] * phi_v))
-    return float(value[0]), {
-        "c": tuple(float(v) for v in c[0]),
+    den = float(np.max(lam_v - c * phi_v))
+    return value, {
+        "c": tuple(float(v) for v in c),
         "lambda_max_dominated": bool(multi and abs(den - float(np.max(lam))) <= 1e-12),
     }
 

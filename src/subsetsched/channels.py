@@ -11,13 +11,9 @@ exactly one subset from a fixed collection of observable subsets.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 # Inputs failing this tolerance are rejected, never renormalized: a
 # probability table that does not sum to 1 is a config typo.
@@ -40,10 +36,9 @@ class JointChannelDistribution:
 
     ``blocks`` are independent sub-state laws whose users, joined in block
     order, are 0..num_users-1.  ``from_table`` gives one block over all
-    users, ``product_form`` one block per user.  ``support`` and ``probs``
-    are the explicit joint table: the block itself for one block, else
-    built from all blocks (2^N states for N binary users), so the program
-    never reads them.  Immutable and safe to share across threads.
+    users, ``product_form`` one block per user.  No 2^N joint table is
+    ever built: every reader asks for one subset's ``substate_marginal``.
+    Immutable and safe to share across threads.
     """
 
     blocks: tuple[SubStateDistribution, ...]
@@ -79,19 +74,6 @@ class JointChannelDistribution:
             substates, probs = tuple((r,) for r, _ in items), tuple(p for _, p in items)
             blocks.append(SubStateDistribution((i,), substates, probs))
         return cls(blocks=tuple(blocks), num_users=len(per_user))
-
-    def _table(self) -> SubStateDistribution:
-        if len(self.blocks) == 1:
-            return self.blocks[0]
-        return self.substate_marginal(range(self.num_users))
-
-    @property
-    def support(self) -> tuple[tuple[int, ...], ...]:
-        return self._table().substates
-
-    @property
-    def probs(self) -> tuple[float, ...]:
-        return self._table().probs
 
     @property
     def max_rate(self) -> int:
@@ -136,15 +118,6 @@ class JointChannelDistribution:
                 means[i] = m
         return tuple(means)
 
-    def sample_state(self, rng: np.random.Generator) -> tuple[int, ...]:
-        """One iid draw from a seeded stream: one uniform per block, by inverse CDF."""
-        state = [0] * self.num_users
-        for block in self.blocks:
-            j = bisect_right(list(accumulate(block.probs)), rng.random())
-            for i, r in zip(block.subset, block.substates[min(j, len(block.probs) - 1)]):
-                state[i] = r
-        return tuple(state)
-
 
 @dataclass(frozen=True)
 class SubStateDistribution:
@@ -165,13 +138,6 @@ class SubStateDistribution:
             if len(r) != len(self.subset):
                 raise ValueError(f"sub-state {r} does not match subset size {len(self.subset)}")
         _validate_probs(self.probs, f"sub-state distribution for subset {self.subset}")
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {r: j for j, r in enumerate(self.substates)}
-
-    def index_of(self, substate: tuple[int, ...]) -> int:
-        return self._index[substate]
 
     def mean_rates(self) -> tuple[float, ...]:
         """Per-member mean rates (ordered like ``subset``)."""

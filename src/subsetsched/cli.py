@@ -23,6 +23,7 @@ from . import __version__
 from .bounds import UnstableArrivalsError, verify_matching
 from .config import ConfigError, ExperimentConfig, load_config
 from .estimate import (
+    MIN_EVENTS,
     direct_overflow_curve,
     estimate_overflow_importance,
     fit_exponent,
@@ -191,7 +192,7 @@ def cmd_exponent(cfg: ExperimentConfig, out: Path, workers: int | None) -> int:
             )
             all_estimates.append(est)
             prior = chosen.get(level)
-            if prior is None or prior.events < 50:
+            if prior is None or prior.events < MIN_EVENTS:
                 chosen[level] = est
     csv_path = out / "overflow_estimates.csv"
     csv_path.parent.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .channels import JointChannelDistribution, SubsetSystem
+from .estimate import tilted_proposals
 from .policies import POLICY_NAMES, PolicySpec
 from .simulate import ArrivalSpec, SystemModel
 
@@ -211,6 +212,18 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ExperimentConfig:
 
     channels = dict(channels) if isinstance(channels, Mapping) else channels
     subsets = [[int(i) for i in s] for s in subsets]
+    # validate everything up front
+    model = _build_model(channels, subsets, arrival_rates, num_users)
+    if estimation["method"] == "importance" and not model.subsets.all_singletons:
+        raise ConfigError("estimation.method 'importance' needs singleton observable subsets")
+    phi = estimation["phi"]
+    if phi is not None:
+        if not isinstance(phi, list) or len(phi) != num_users:
+            raise ConfigError(f"estimation.phi must list one twisted mean per user ({num_users})")
+        try:
+            tilted_proposals(model, phi)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"estimation.phi: {exc}") from exc
     return ExperimentConfig(
         num_users=num_users,
         arrival_rates=arrival_rates,
@@ -228,6 +241,5 @@ def load_config(source: str | Path | Mapping[str, Any]) -> ExperimentConfig:
         estimation=estimation,
         output_dir=str(raw.get("output_dir", "out")),
         record_trace=bool(raw.get("record_trace", False)),
-        # validate everything up front
-        _model=_build_model(channels, subsets, arrival_rates, num_users),
+        _model=model,
     )

@@ -34,6 +34,11 @@ _STREAM_IS = 3
 _STREAM_IS_POLICY = 4
 _IS_CHUNK = 1024
 _Z95 = 1.959963984540054
+# A level is trusted for the exponent fit, and preferred over another
+# method's estimate at that level, from this many direct events or this
+# importance-sampling effective sample size on.
+MIN_EVENTS = 50.0
+MIN_ESS = 50.0
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,11 @@ class OverflowEstimate:
         }
 
 
-def _wilson(events: int, samples: int, z: float = _Z95) -> tuple[float, float]:
+def _wilson(events: int, samples: int) -> tuple[float, float]:
     if samples == 0:
         return 0.0, 1.0
     p = events / samples
+    z = _Z95
     denom = 1.0 + z * z / samples
     center = (p + z * z / (2 * samples)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / samples + z * z / (4 * samples * samples))
@@ -180,20 +186,6 @@ def direct_overflow_curve(
     return out, meta
 
 
-def estimate_overflow_direct(
-    model: SystemModel,
-    policy: PolicySpec | str,
-    level: int,
-    replicas: int,
-    horizon: int,
-    seed: int,
-    **kwargs,
-) -> OverflowEstimate:
-    """Single-level convenience wrapper around ``direct_overflow_curve``."""
-    ests, _ = direct_overflow_curve(model, policy, [level], replicas, horizon, seed, **kwargs)
-    return ests[0]
-
-
 # ---------------------------------------------------------------------------
 # importance-sampled first-hitting estimator
 
@@ -246,7 +238,6 @@ def estimate_overflow_importance(
     seed: int,
     horizon: int | None = None,
     workers: int | None = 1,
-    min_ess: float = 50.0,
 ) -> OverflowEstimate:
     """Importance-sampled overflow attempt probability at one level.
 
@@ -256,7 +247,7 @@ def estimate_overflow_importance(
     unbiased for the natural-law hitting probability (hit ``level`` before
     regenerating, or within ``horizon`` slots when given).  Normal 95% CI
     from the per-attempt variance; flagged when the effective sample size
-    falls under ``min_ess``, and when attempts without a ``horizon`` were
+    falls under ``MIN_ESS``, and when attempts without a ``horizon`` were
     cut off at the simulator's ``max_slots`` (counted in ``truncated``:
     such an attempt is not a miss, its outcome is unknown).
     """
@@ -296,7 +287,7 @@ def estimate_overflow_importance(
             scaled = np.exp(log_w - log_sum)  # weights over their sum
             se = p_hat * math.sqrt(m / (m - 1) * float(np.sum((scaled - 1.0 / m) ** 2)))
     flags: list[str] = []
-    if ess < min_ess:
+    if ess < MIN_ESS:
         flags.append("low_effective_sample_size")
     if truncated:
         flags.append("truncated_attempts")
@@ -340,16 +331,12 @@ class ExponentFit:
         }
 
 
-def fit_exponent(
-    estimates: Sequence[OverflowEstimate],
-    min_events: float = 50.0,
-    min_ess: float = 50.0,
-) -> ExponentFit:
+def fit_exponent(estimates: Sequence[OverflowEstimate]) -> ExponentFit:
     """Fit log p(n) ~ -I n; the exponent is the negated slope.
 
-    Uses only trustworthy levels: direct estimates need ``min_events``
+    Uses only trustworthy levels: direct estimates need ``MIN_EVENTS``
     positive epochs, importance estimates an effective sample size of
-    ``min_ess``.  Weights follow the CI-propagated variance of log p (the
+    ``MIN_ESS``.  Weights follow the CI-propagated variance of log p (the
     log of a direct level's Wilson interval; the delta method se / p for an
     importance level, whose normal interval may be clipped at 0); the
     slope standard error is propagated from those variances (not from
@@ -362,11 +349,11 @@ def fit_exponent(
         if est.p_hat <= 0.0:
             excluded.append((est.level, "zero_estimate"))
             continue
-        if est.method == "direct" and est.events < min_events:
-            excluded.append((est.level, f"events<{min_events:g}"))
+        if est.method == "direct" and est.events < MIN_EVENTS:
+            excluded.append((est.level, f"events<{MIN_EVENTS:g}"))
             continue
-        if est.method == "importance" and (est.ess or 0.0) < min_ess:
-            excluded.append((est.level, f"ess<{min_ess:g}"))
+        if est.method == "importance" and (est.ess or 0.0) < MIN_ESS:
+            excluded.append((est.level, f"ess<{MIN_ESS:g}"))
             continue
         if est.method == "importance":
             # delta method on the normal CI: sd(log p) = se / p, with se read

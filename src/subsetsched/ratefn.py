@@ -26,6 +26,8 @@ from .channels import JointChannelDistribution, SubsetSystem, SubStateDistributi
 # Endpoint snapping and simplex-membership tolerance for rate-function queries.
 EDGE_TOL = 1e-12
 SIMPLEX_TOL = 1e-9
+# Most winner maps one subset's vertex enumeration may visit.
+VERTEX_CAP = 10**6
 
 
 class ScalarRateFunction:
@@ -219,18 +221,17 @@ class SubsetRateRegion:
 def region_vertices(
     substates: SubStateDistribution,
     phi: Sequence[float] | None = None,
-    cap: int = 10**6,
 ) -> SubsetRateRegion:
     """Enumerate the winner-map vertices of a subset's rate region.
 
     There are ``|subset| ** n_substates`` maps (duplicate vertices are
-    merged); raises ``VertexCapError`` if that exceeds ``cap``.
+    merged); raises ``VertexCapError`` if that exceeds ``VERTEX_CAP``.
     """
     k = len(substates.subset)
     n_states = len(substates.substates)
-    if k**n_states > cap:
+    if k**n_states > VERTEX_CAP:
         raise VertexCapError(f"subset {substates.subset}: vertex enumeration "
-                             f"{k}**{n_states} exceeds cap {cap}")
+                             f"{k}**{n_states} exceeds cap {VERTEX_CAP}")
     if phi is None:
         weights = [float(p) for p in substates.probs]
     else:
@@ -254,25 +255,19 @@ def region_vertices(
 @dataclass(frozen=True)
 class StabilityReport:
     status: str  # "stable_interior" | "boundary" | "unstable"
-    margin: float
+    margin: float  # 1 - load, on every system (see stability_check)
 
 
-def _combined_vertices(
-    dist: JointChannelDistribution,
-    subsets: SubsetSystem,
-    phis: Sequence[Sequence[float]] | None = None,
-) -> np.ndarray:
-    """Vertex union of all per-subset regions, embedded in R^N.
+def _combined_vertices(dist: JointChannelDistribution, subsets: SubsetSystem) -> np.ndarray:
+    """Vertex union of all per-subset regions under the natural laws, embedded in R^N.
 
     Time-sharing across disjoint subsets makes the achievable service-rate
     set the convex hull of these embedded vertices.
     """
-    rows = []
-    for j, alpha in enumerate(subsets.subsets):
-        sub = dist.substate_marginal(alpha)
-        region = region_vertices(sub, phi=None if phis is None else phis[j])
-        rows.append(region.embedded_vertices(dist.num_users))
-    return np.vstack(rows)
+    return np.vstack([
+        region_vertices(dist.substate_marginal(alpha)).embedded_vertices(dist.num_users)
+        for alpha in subsets.subsets
+    ])
 
 
 def _max_scaling_into_hull(lams: np.ndarray, vertices: np.ndarray) -> float | None:
@@ -303,21 +298,24 @@ def stability_check(
     lams: Sequence[float],
     dist: JointChannelDistribution,
     subsets: SubsetSystem,
-    tol: float = 1e-9,
 ) -> StabilityReport:
     """Classify an arrival vector against the throughput region.
 
-    Singleton subsets use the load criterion sum_i lambda_i / mu_i < 1
-    with margin ``1 - sum lambda/mu``.  General disjoint systems solve
-    max theta s.t. (1+theta) lambda is an achievable time-shared service
-    vector (LP over region vertices under the natural sub-state laws);
-    margin is theta.  Non-disjoint collections are unsupported.
+    The margin is 1 - load on every system, the load being the least time
+    share that serves the arrivals: sum_i lambda_i / mu_i for singleton
+    subsets; for general disjoint systems 1 / (1 + theta), with theta the
+    largest such that (1+theta) lambda is an achievable time-shared service
+    vector (LP over region vertices under the natural sub-state laws).  No
+    arrivals read 1, arrivals no time share serves ``-inf``, and a margin
+    within 1e-9 of 0 the boundary.  Non-disjoint collections are unsupported.
     """
     if not subsets.disjoint:
         raise ValueError("stability check requires disjoint observable subsets")
     lam = [float(v) for v in lams]
     if any(v < 0 for v in lam):
         raise ValueError("negative arrival rate")
+    if all(v == 0.0 for v in lam):
+        return StabilityReport(status="stable_interior", margin=1.0)
     if subsets.all_singletons:
         mu = dist.mean_rates()
         load = 0.0
@@ -327,17 +325,13 @@ def stability_check(
             if mu[i] <= 0.0:
                 return StabilityReport(status="unstable", margin=-math.inf)
             load += li / mu[i]
-        margin = 1.0 - load
-        if all(v == 0.0 for v in lam):
-            margin = 1.0
     else:
-        if all(v == 0.0 for v in lam):
-            return StabilityReport(status="stable_interior", margin=math.inf)
         theta = _max_scaling_into_hull(np.asarray(lam), _combined_vertices(dist, subsets))
-        margin = -math.inf if theta is None else theta
-    if margin > tol:
+        load = math.inf if theta is None or theta <= -1.0 else 1.0 / (1.0 + theta)
+    margin = 1.0 - load
+    if margin > 1e-9:
         status = "stable_interior"
-    elif margin < -tol:
+    elif margin < -1e-9:
         status = "unstable"
     else:
         status = "boundary"

@@ -156,7 +156,7 @@ class SystemModel:
 class SystemState:
     """Queue vector plus all counting processes, after ``k`` slots.
 
-    Identities maintained by ``Simulator.step`` (audited by
+    Identities maintained by ``Simulator._step_core`` (audited by
     ``check_invariants``): subset-choice counts sum to k; per-subset
     sub-state counts sum to that subset's choice count; per-sub-state
     scheduling counts sum to the sub-state count; ``q = q0 + f - fhat``
@@ -394,20 +394,6 @@ class Simulator:
             m[members_a[pos2]] += rates[pos2]
         state.k = k + 1
         return a, rid, i, served
-
-    def step(
-        self,
-        state: SystemState,
-        policy: Policy,
-        rng: np.random.Generator,
-        trace: SampledTrace | None = None,
-    ) -> SystemState:
-        """One slot of the dynamics (mutates and returns ``state``)."""
-        k = state.k
-        a, rid, i, _ = self._step_core(state, policy, _SubstateDraws(rng, self.sub_cum))
-        if trace is not None:
-            trace.record(k, a, rid, i)
-        return state
 
     def new_trace(self) -> SampledTrace:
         return SampledTrace(per_subset=[[] for _ in self.members])

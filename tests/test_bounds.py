@@ -191,8 +191,7 @@ class TestUpperBoundEval:
         assert upper_bound_eval([0.4, 0.4], [2.5, 0.5], [BINARY, BINARY]) == math.inf
 
     def test_grid_vs_candidates(self):
-        # scoring a batch of twists equals scoring each one through
-        # upper_bound_eval and as a one-row batch
+        # the inner sup on a twist's costs equals upper_bound_eval there
         from subsetsched.bounds import _inner_sup_users
 
         rng = np.random.Generator(np.random.PCG64(41))
@@ -201,15 +200,10 @@ class TestUpperBoundEval:
             lam = rng.uniform(0.1, 0.45, size=2)
             phis = rng.uniform(0.5, 1.4, size=(8, 2))
             phis = phis[lam[0] / phis[:, 0] + lam[1] / phis[:, 1] > 1.0]
-            if len(phis) == 0:
-                continue
-            lstar = np.vectorize(rf.rate)(phis)
-            batch, _ = _inner_sup_users(lam, phis, lstar)
-            for row, phi in enumerate(phis):
+            for phi in phis:
+                value, _ = _inner_sup_users(lam, phi, np.array([rf.rate(p) for p in phi]))
                 full = upper_bound_eval(lam, phi, [BINARY, BINARY])
-                single = _inner_sup_users(lam, phis[row : row + 1], lstar[row : row + 1])[0][0]
-                assert batch[row] == pytest.approx(full, rel=1e-6, abs=1e-9)
-                assert batch[row] == pytest.approx(single, rel=1e-12)
+                assert value == pytest.approx(full, rel=1e-6, abs=1e-9)
 
     def test_permutation_equivariance(self):
         lam = [0.3, 0.45]
@@ -259,12 +253,12 @@ class TestInnerSup:
         for n in range(1, 6):
             for _ in range(40):
                 lam, phi, lstar = random_inner_sup_instance(rng, n)
-                value, c = _inner_sup_users(lam, phi[None, :], lstar[None, :])
-                assert value[0] == pytest.approx(charnes_cooper_sup(lam, phi, lstar), rel=1e-9)
+                value, c = _inner_sup_users(lam, phi, lstar)
+                assert value == pytest.approx(charnes_cooper_sup(lam, phi, lstar), rel=1e-9)
                 # the returned frequencies attain the value
-                assert c[0].min() >= 0 and c[0].sum() == pytest.approx(1.0, abs=1e-9)
-                den = np.max(lam - c[0] * phi)
-                assert c[0] @ lstar / den == pytest.approx(value[0], rel=1e-12)
+                assert c.min() >= 0 and c.sum() == pytest.approx(1.0, abs=1e-9)
+                den = np.max(lam - c * phi)
+                assert c @ lstar / den == pytest.approx(value, rel=1e-12)
 
     def test_no_grid_point_reads_above(self):
         from subsetsched.bounds import _inner_sup_users
@@ -274,7 +268,7 @@ class TestInnerSup:
             grid = simplex_grid(n, 100)
             for _ in range(30):
                 lam, phi, lstar = random_inner_sup_instance(rng, n)
-                value = _inner_sup_users(lam, phi[None, :], lstar[None, :])[0][0]
+                value, _ = _inner_sup_users(lam, phi, lstar)
                 den = np.max(lam - grid * phi, axis=1)
                 assert np.max(grid @ lstar / den) <= value * (1 + 1e-12)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from subsetsched import JointChannelDistribution, SubsetSystem, SubStateDistribution
 from subsetsched.config import load_config
-from subsetsched.simulate import rng_from_seed
 
 FOUR_STATE = JointChannelDistribution.from_table(
     [(0, 0), (0, 2), (2, 0), (2, 2)], [0.25, 0.25, 0.25, 0.25]
@@ -65,7 +64,7 @@ class TestUserMarginal:
     def test_merges_equal_rates(self):
         # oracle: sum probabilities sharing a rate value
         expected = {}
-        for state, p in zip(ANTI.support, ANTI.probs):
+        for state, p in zip(ANTI.blocks[0].substates, ANTI.blocks[0].probs):
             expected[state[0]] = expected.get(state[0], 0.0) + p
         assert ANTI.user_marginal(0) == expected == {0: 0.5, 2: 0.5}
 
@@ -73,8 +72,7 @@ class TestUserMarginal:
 class TestSubstateMarginal:
     def test_full_subset_is_identity(self):
         sub = FOUR_STATE.substate_marginal([0, 1])
-        assert sub.substates == FOUR_STATE.support
-        assert sub.probs == FOUR_STATE.probs
+        assert sub == FOUR_STATE.blocks[0]
 
     def test_single_user_reduces_to_user_marginal(self):
         sub = FOUR_STATE.substate_marginal([0])
@@ -102,35 +100,6 @@ class TestMeanRates:
 
     def test_anticorrelated(self):
         assert ANTI.mean_rates() == (1.0, 1.0)
-
-
-class TestSampling:
-    def test_point_mass_always_same(self):
-        dist = JointChannelDistribution.from_table([(1, 3)], [1.0])
-        rng = rng_from_seed(1)
-        assert all(dist.sample_state(rng) == (1, 3) for _ in range(100))
-
-    def test_law_of_large_numbers(self):
-        rng = rng_from_seed(42)
-        marg = FOUR_STATE.user_marginal(0)
-        n = 100_000
-        hits = sum(FOUR_STATE.sample_state(rng)[0] == 0 for _ in range(n))
-        assert abs(hits / n - marg[0]) < 0.01
-
-    def test_product_law_draws_each_block(self):
-        # one uniform per user: user 1's frequencies match its own table
-        dist = JointChannelDistribution.product_form([{0: 0.5, 2: 0.5}, {1: 0.2, 3: 0.8}])
-        rng = rng_from_seed(5)
-        n = 20_000
-        draws = [dist.sample_state(rng) for _ in range(n)]
-        assert abs(sum(s[1] == 1 for s in draws) / n - 0.2) < 0.01
-        assert abs(sum(s[0] == 0 for s in draws) / n - 0.5) < 0.015
-
-    def test_identical_seeds_identical_draws(self):
-        rng1, rng2 = rng_from_seed(9, 1), rng_from_seed(9, 1)
-        seq1 = [FOUR_STATE.sample_state(rng1) for _ in range(50)]
-        seq2 = [FOUR_STATE.sample_state(rng2) for _ in range(50)]
-        assert seq1 == seq2
 
 
 class TestSubsetSystem:
@@ -217,8 +186,9 @@ def test_product_form_agrees_with_its_explicit_table():
         [tuple(r for r, _ in c) for c in combos], [math.prod(p for _, p in c) for c in combos]
     )
     dist = JointChannelDistribution.product_form(THREE_TABLES)
-    assert dist.support == explicit.support
-    assert dist.probs == pytest.approx(explicit.probs, abs=1e-15)
+    table, written = dist.substate_marginal(range(3)), explicit.blocks[0]
+    assert table.substates == written.substates
+    assert table.probs == pytest.approx(written.probs, abs=1e-15)
     assert dist.mean_rates() == pytest.approx(explicit.mean_rates(), abs=1e-15)
     assert dist.max_rate == explicit.max_rate == 4
     for size in (1, 2, 3):

@@ -186,6 +186,23 @@ class TestConfigValidation:
         assert main(["exponent", str(write_config(tmp_path, cfg))]) == 2
         assert f"estimation.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,subsets,estimation", [
+        ("method", [[0, 1]], {"method": "importance"}),
+        ("phi", [[0], [1]], {"method": "importance", "phi": [0.5]}),
+        ("phi", [[0], [1]], {"method": "auto", "phi": [2.5, 0.5]}),
+    ], ids=["importance_on_a_pair", "phi_length", "phi_outside_rates"])
+    def test_importance_settings_refused_before_the_bounds(
+        self, tmp_path, capsys, monkeypatch, key, subsets, estimation
+    ):
+        def no_bounds(*args, **kwargs):
+            raise AssertionError("bounds computed for an invalid config")
+
+        monkeypatch.setattr("subsetsched.cli.verify_matching", no_bounds)
+        cfg = base_config(str(tmp_path / "out"))
+        cfg.update(arrival_rates=["1/5", "1/5"], subsets=subsets, estimation=estimation)
+        assert main(["exponent", str(write_config(tmp_path, cfg))]) == 2
+        assert f"estimation.{key}" in capsys.readouterr().err
+
     def test_not_json(self, tmp_path, capsys):
         path = tmp_path / "nope.json"
         path.write_text("{not json")

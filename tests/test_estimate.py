@@ -13,7 +13,6 @@ from subsetsched import (
     SubsetSystem,
     SystemModel,
     direct_overflow_curve,
-    estimate_overflow_direct,
     estimate_overflow_importance,
     fit_exponent,
     verify_matching,
@@ -96,8 +95,8 @@ def enumerate_two_user_hit_probability(model, policy_name, horizon, level):
 
 class TestDirect:
     def test_level_zero_probability_one(self, reference_model):
-        est = estimate_overflow_direct(
-            reference_model, "max_queue", 0, replicas=2, horizon=2000, seed=1
+        (est,), _ = direct_overflow_curve(
+            reference_model, "max_queue", [0], replicas=2, horizon=2000, seed=1
         )
         assert est.p_hat == 1.0
 
@@ -107,8 +106,8 @@ class TestDirect:
             subsets=SubsetSystem.from_lists([[0], [1]], 2),
             arrivals=ArrivalSpec.from_values(["3/5", "3/5"]),
         )
-        est = estimate_overflow_direct(
-            model, "max_queue", 50, replicas=2, horizon=20_000, seed=2
+        (est,), _ = direct_overflow_curve(
+            model, "max_queue", [50], replicas=2, horizon=20_000, seed=2
         )
         assert "instance_unstable" in est.flags
         assert est.p_hat > 0.9
@@ -122,8 +121,8 @@ class TestDirect:
         assert ps[0] > ps[1] > ps[2] > 0
 
     def test_zero_events_flagged(self, reference_model):
-        est = estimate_overflow_direct(
-            reference_model, "max_queue", 500, replicas=2, horizon=5000, seed=4
+        (est,), _ = direct_overflow_curve(
+            reference_model, "max_queue", [500], replicas=2, horizon=5000, seed=4
         )
         assert est.p_hat == 0.0
         assert "level_too_deep_for_direct_mc" in est.flags

@@ -216,12 +216,11 @@ class TestRegionVertices:
         assert set(region.vertices) == expected
 
     def test_cap(self):
-        dist = JointChannelDistribution.product_form(
-            [{0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}]
-        )
-        sub = dist.substate_marginal([0, 1, 2])
+        # 25 sub-states of a pair: 2**25 winner maps, refused before enumerating
+        five = {r: 0.2 for r in range(5)}
+        sub = JointChannelDistribution.product_form([five, five]).substate_marginal([0, 1])
         with pytest.raises(ValueError, match="cap"):
-            region_vertices(sub, cap=10)
+            region_vertices(sub)
 
     def test_vertex_achievable_by_simulation(self):
         # drive a fixed winner map with saturated queues; empirical service
@@ -242,7 +241,7 @@ class TestRegionVertices:
                 return 0
 
             def choose_user(self, subset_id, rates, q):
-                rid = sub.index_of(tuple(rates))
+                rid = sub.substates.index(tuple(rates))
                 return subsets.subsets[0][winner[rid]]
 
         vertex = [0.0, 0.0]
@@ -280,6 +279,16 @@ class TestStability:
         assert rep.margin > 0
         rep2 = stability_check([1.2, 1.2], self.dist, pair)
         assert rep2.status == "unstable"
+
+    @pytest.mark.parametrize("lam,margin", [([0.4, 0.4, 0.0], 0.2), ([0.0, 0.0, 0.0], 1.0)])
+    def test_margin_is_one_minus_load_on_both_branches(self, lam, margin):
+        # user 2 alone in its subset or paired with user 1: the same headroom
+        dist = JointChannelDistribution.product_form([{0: 0.5, 2: 0.5}] * 3)
+        singles = stability_check(lam, dist, SubsetSystem.from_lists([[0], [1], [2]], 3))
+        general = stability_check(lam, dist, SubsetSystem.from_lists([[0], [1, 2]], 3))
+        assert singles.status == general.status == "stable_interior"
+        assert singles.margin == pytest.approx(margin, abs=1e-12)
+        assert general.margin == pytest.approx(margin, abs=1e-9)
 
     def test_non_disjoint_rejected(self):
         overlapping = SubsetSystem.from_lists([[0, 1], [1]], 2)

@@ -71,8 +71,7 @@ class TestStep:
         # queue 5, arrivals 2, rate 3 -> queue 4
         model = single_user_model(2, {3: 1.0})
         sim = Simulator(model)
-        state = sim.initial_state([5])
-        sim.step(state, FixedPolicy(model.subsets), rng_from_seed(0))
+        state = sim.run(FixedPolicy(model.subsets), 1, rng_from_seed(0), q0=[5]).state
         assert state.q == [4]
         assert state.fhat == [3]
 
@@ -80,8 +79,7 @@ class TestStep:
         # queue 1, no arrivals, rate 3 -> queue 0 (serves only what exists)
         model = single_user_model(0, {3: 1.0})
         sim = Simulator(model)
-        state = sim.initial_state([1])
-        sim.step(state, FixedPolicy(model.subsets), rng_from_seed(0))
+        state = sim.run(FixedPolicy(model.subsets), 1, rng_from_seed(0), q0=[1]).state
         assert state.q == [0]
         assert state.fhat == [1]
 
@@ -92,8 +90,8 @@ class TestStep:
             arrivals=ArrivalSpec.from_values([0, 1]),
         )
         sim = Simulator(model)
-        state = sim.initial_state([5, 0])
-        sim.step(state, FixedPolicy(model.subsets, subset_id=0), rng_from_seed(0))
+        state = sim.run(FixedPolicy(model.subsets, subset_id=0), 1, rng_from_seed(0),
+                        q0=[5, 0]).state
         assert state.q[1] == 1  # exactly its arrival
         assert state.c[1] == 0
         assert state.g[1] == [0]
@@ -112,9 +110,9 @@ class TestStep:
                 return 3
 
         with pytest.raises(PolicyViolationError):
-            sim.step(sim.initial_state(), BadSubset(model.subsets), rng_from_seed(0))
+            sim.run(BadSubset(model.subsets), 1, rng_from_seed(0))
         with pytest.raises(PolicyViolationError):
-            sim.step(sim.initial_state(), BadUser(model.subsets), rng_from_seed(0))
+            sim.run(BadUser(model.subsets), 1, rng_from_seed(0))
 
 
 class TestRun:
@@ -167,6 +165,17 @@ class TestRun:
                     tuple(sorted(res.exceed_counts.items())), res.samples)
 
         assert summary() == summary()
+
+    def test_sub_state_draws_follow_each_subset_law(self):
+        model = SystemModel(
+            dist=JointChannelDistribution.product_form([{0: 0.5, 2: 0.5}, {1: 0.2, 3: 0.8}]),
+            subsets=SubsetSystem.from_lists([[0], [1]], 2),
+            arrivals=ArrivalSpec.from_values([0, 0]),
+        )
+        n = 20_000
+        for a, p_low in ((0, 0.5), (1, 0.2)):
+            res = Simulator(model).run(FixedPolicy(model.subsets, a), n, rng_from_seed(5, a))
+            assert abs(res.state.g[a][0] / n - p_low) < 0.01
 
     def test_first_hit_and_counters(self, reference_model):
         sim = Simulator(reference_model)
